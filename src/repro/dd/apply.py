@@ -35,9 +35,12 @@ Kernel taxonomy (reported through the ``dd_apply_total`` counter):
     ``SWAP . CZ . (S x S)``.
 
 All kernels share one dedicated compute table (``DDPackage._apply_cache``)
-keyed on ``(gate id, node)``, where the gate id canonicalizes the unitary's
-entries through the complex table, so repeated gates (GHZ cascades, Grover
-iterations, the inverse side of the alternating scheme) hit the cache.
+keyed on ``(gate id, node)``, where the gate id holds the unitary's entries
+(raw ``complex`` values, sub-tolerance entries snapped to zero), so repeated
+gates (GHZ cascades, Grover iterations, the inverse side of the alternating
+scheme) hit the cache.  Like the rest of the weight arithmetic, gate entries
+are never looked up in the complex table; only the weights of the nodes the
+kernel creates and the returned root weight are.
 
 Results are bit-identical to the matrix path in the canonical sense: both
 paths normalize through the same unique tables, so they yield the very
@@ -142,7 +145,7 @@ class _ApplyKernel:
             raise DDError(f"expected a 2x2 matrix, got shape {matrix.shape}")
         if mode == "mr":
             matrix = matrix.T
-        self.u = tuple(self._canonical(matrix[i, j]) for i in (0, 1) for j in (0, 1))
+        self.u = tuple(self._snap(matrix[i, j]) for i in (0, 1) for j in (0, 1))
         self.target = target
         self.controls = dict(controls)
         for line, bit in self.controls.items():
@@ -178,11 +181,11 @@ class _ApplyKernel:
         else:
             self.kernel = "generic"
 
-    def _canonical(self, value: complex) -> complex:
+    def _snap(self, value: complex) -> complex:
         value = complex(value)
         if self.table.is_zero(value):
             return ComplexTable.ZERO
-        return self.table.lookup(value)
+        return value
 
     # -- entry -----------------------------------------------------------
     def run(self, root: Edge) -> Edge:
@@ -193,7 +196,9 @@ class _ApplyKernel:
             if not node.is_terminal and not isinstance(node, MatrixNode):
                 raise DDError("apply kernels need a matrix DD root")
             entry = self.high if node.is_terminal else max(self.high, node.var)
-            return self._rec_s(node, entry).scaled(root.weight, self.table)
+            return self.package._export(
+                self._rec_s(node, entry).scaled(root.weight, self.table)
+            )
         expected = VectorNode if self.mode == "v" else MatrixNode
         if node.is_terminal or not isinstance(node, expected):
             kind = "vector" if self.mode == "v" else "matrix"
@@ -202,7 +207,7 @@ class _ApplyKernel:
             raise DDError(
                 f"gate lines exceed the DD's qubit range (root level {node.var})"
             )
-        return self._rec(node).scaled(root.weight, self.table)
+        return self.package._export(self._rec(node).scaled(root.weight, self.table))
 
     # -- recursion over untouched upper levels ---------------------------
     def _rec(self, node: Node) -> Edge:
@@ -246,7 +251,12 @@ class _ApplyKernel:
         return self._make(var, new_pairs)
 
     # -- the target level -----------------------------------------------
-    def _apply_target(self, pair: Tuple[Edge, Edge]) -> Tuple[Edge, Edge]:
+    def _apply_target(self, pair: Tuple[Edge, Edge], project=None) -> Tuple[Edge, Edge]:
+        """New successor pair at the target level.
+
+        ``project`` maps a successor onto the controls below the target
+        (``_proj_edge``, or ``_proj_s_edge`` in skipping mode).
+        """
         u00, u01, u10, u11 = self.u
         c0, c1 = pair
         table = self.table
@@ -254,10 +264,14 @@ class _ApplyKernel:
             # Controls below the target: CU = I + P (U - I), with the
             # projector chain P applied to the subtrees first.
             add = self.package._add
-            d00 = self._canonical(u00 - 1.0)
-            d11 = self._canonical(u11 - 1.0)
-            p0 = self._proj_edge(c0)
-            p1 = self._proj_edge(c1)
+            d00 = self._snap(u00 - 1.0)
+            d11 = self._snap(u11 - 1.0)
+            if project is None:
+                p0 = self._proj_edge(c0)
+                p1 = self._proj_edge(c1)
+            else:
+                p0 = project(c0, self.target - 1)
+                p1 = project(c1, self.target - 1)
             new0 = add(c0, add(p0.scaled(d00, table), p1.scaled(u01, table)))
             new1 = add(c1, add(p0.scaled(u10, table), p1.scaled(d11, table)))
             return (new0, new1)
@@ -345,7 +359,9 @@ class _ApplyKernel:
             virtual = node.is_terminal or node.var < line
             pairs = self._pairs_at(node, virtual)
             if line == self.target:
-                new_pairs = [self._apply_target_s(pair) for pair in pairs]
+                new_pairs = [
+                    self._apply_target(pair, self._proj_s_edge) for pair in pairs
+                ]
             else:
                 bit = self.controls[line]
                 new_pairs = []
@@ -356,28 +372,6 @@ class _ApplyKernel:
             cached = self._make(line, new_pairs)
         cache.insert(key, cached)
         return cached
-
-    def _apply_target_s(self, pair: Tuple[Edge, Edge]) -> Tuple[Edge, Edge]:
-        u00, u01, u10, u11 = self.u
-        c0, c1 = pair
-        table = self.table
-        if self.below:
-            add = self.package._add
-            d00 = self._canonical(u00 - 1.0)
-            d11 = self._canonical(u11 - 1.0)
-            p0 = self._proj_s_edge(c0, self.target - 1)
-            p1 = self._proj_s_edge(c1, self.target - 1)
-            new0 = add(c0, add(p0.scaled(d00, table), p1.scaled(u01, table)))
-            new1 = add(c1, add(p0.scaled(u10, table), p1.scaled(d11, table)))
-            return (new0, new1)
-        if u01 == ComplexTable.ZERO and u10 == ComplexTable.ZERO:
-            return (c0.scaled(u00, table), c1.scaled(u11, table))
-        if u00 == ComplexTable.ZERO and u11 == ComplexTable.ZERO:
-            return (c1.scaled(u01, table), c0.scaled(u10, table))
-        add = self.package._add
-        new0 = add(c0.scaled(u00, table), c1.scaled(u01, table))
-        new1 = add(c0.scaled(u10, table), c1.scaled(u11, table))
-        return (new0, new1)
 
     def _proj_s_edge(self, edge: Edge, level: int) -> Edge:
         if edge.is_zero:
@@ -456,18 +450,11 @@ def _make_kernel(package, mode, matrix, target, controls):
         key = (
             mode, matrix.tobytes(), int(target), tuple(sorted(controls.items()))
         )
-    generation = engine.weights.generation
     hit = engine._kernel_cache.get(key)
     if hit is not None:
-        kernel, built_at, _pinned = hit
-        # A mint-stable canonicalization is valid forever; a snapped one
-        # only while no new representative has appeared since it was built
-        # (mirrors the weight-memo invalidation rule).
-        if kernel.cacheable or built_at == generation:
-            return kernel
+        return hit[0]
     kernel = PooledApplyKernel(package, mode, matrix, target, controls)
-    if kernel.cacheable or engine.weights.generation == generation:
-        engine._kernel_cache[key] = (kernel, generation, matrix)
+    engine._kernel_cache[key] = (kernel, matrix)
     return kernel
 
 

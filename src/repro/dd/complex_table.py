@@ -4,14 +4,19 @@ Decision diagrams are only canonical if identical weights are recognised as
 identical.  Under floating-point arithmetic, two computations of the same
 amplitude (e.g. ``1/sqrt(2)`` obtained via normalization versus via a Hadamard
 matrix entry) may differ in the last bits.  Following the complex-table design
-of the JKQ/MQT DD package (ICCAD 2019), all edge weights are looked up in a
-:class:`ComplexTable` which returns one canonical representative per
-tolerance-ball, so that exact ``==`` comparison (and hashing) of weights is
-sound everywhere else in the package.
+of the JKQ/MQT DD package (ICCAD 2019), node and root weights are looked up
+in a :class:`ComplexTable` which returns one canonical representative per
+tolerance-ball, so that exact ``==`` comparison (and hashing) of those
+weights is sound everywhere else in the package.
 
-The table buckets values on a grid of width ``tolerance`` and searches the
-3x3 neighbourhood of a query's bucket, which guarantees that any stored value
-within ``tolerance`` (in Chebyshev distance) of the query is found.
+The table buckets values on a grid of width ``2 * tolerance`` and searches
+the 2x2 block of buckets the query's tolerance ball can overlap, which
+guarantees that any stored value within ``tolerance`` (in Chebyshev
+distance) of the query is found.
+
+Only weights that land on a node (normalization) and root weights leaving
+the package are looked up; intermediate weight arithmetic stays raw
+``complex`` (arXiv:1911.12691).
 """
 
 from __future__ import annotations
@@ -26,8 +31,13 @@ from repro.obs.metrics import MetricsRegistry
 #: Default tolerance used to identify complex numbers.
 DEFAULT_TOLERANCE = 1e-10
 
-_NEIGHBOUR_OFFSETS = tuple(
-    (dr, di) for dr in (-1, 0, 1) for di in (-1, 0, 1)
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+#: Values every table holds permanently (0 and 1 first).
+SEED_VALUES = (
+    complex(0.0, 0.0), complex(1.0, 0.0), complex(-1.0, 0.0), 1j, -1j,
+    complex(_SQRT2_INV, 0.0), complex(-_SQRT2_INV, 0.0),
+    complex(0.0, _SQRT2_INV), complex(0.0, -_SQRT2_INV),
 )
 
 
@@ -53,6 +63,9 @@ class ComplexTable:
             raise ValueError("tolerance must be positive")
         self.tolerance = tolerance
         self._buckets: Dict[Tuple[int, int], List[complex]] = {}
+        # Number of stored values, kept by every bucket mutation so that
+        # ``len`` (polled by the governor's pressure checks) is O(1).
+        self._count = 0
         # Plain-integer statistics (every weight canonicalization passes
         # through `lookup`, so the hot path must stay one increment); a
         # registry collector copies them into counters at export time.
@@ -69,15 +82,11 @@ class ComplexTable:
         cannot drift between construction and later resets.  Idempotent:
         a seed that survived a sweep is not inserted twice.
         """
-        sqrt2_inv = 1.0 / math.sqrt(2.0)
-        for special in (
-            self.ZERO, self.ONE, -self.ONE, 1j, -1j,
-            complex(sqrt2_inv, 0.0), complex(-sqrt2_inv, 0.0),
-            complex(0.0, sqrt2_inv), complex(0.0, -sqrt2_inv),
-        ):
+        for special in SEED_VALUES:
             bucket = self._buckets.setdefault(self._key(special), [])
             if special not in bucket:
                 bucket.append(special)
+                self._count += 1
 
     # ------------------------------------------------------------------
     # public API
@@ -95,11 +104,11 @@ class ComplexTable:
         # sharing, this keeps subnormals out of the table (cmath.phase
         # raises "math range error" on them).
         real, imag = value.real, value.imag
-        if real != 0.0 and abs(real) < self.tolerance:
-            real = 0.0
-        if imag != 0.0 and abs(imag) < self.tolerance:
-            imag = 0.0
-        value = complex(real, imag)
+        tolerance = self.tolerance
+        if real != 0.0 and abs(real) < tolerance:
+            value = complex(0.0, imag)
+        if imag != 0.0 and abs(imag) < tolerance:
+            value = complex(value.real, 0.0)
         found = self._find(value)
         if found is not None:
             self.hits += 1
@@ -146,7 +155,7 @@ class ComplexTable:
         registry.add_collector(sync)
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return self._count
 
     def entries(self) -> "list[Tuple[Tuple[int, int], complex]]":
         """Snapshot of ``(bucket key, stored value)`` pairs for audits."""
@@ -159,6 +168,7 @@ class ComplexTable:
     def clear(self) -> None:
         """Drop all stored values (the special seeds are re-inserted)."""
         self._buckets.clear()
+        self._count = 0
         self.hits = 0
         self.misses = 0
         self._seed()
@@ -175,44 +185,73 @@ class ComplexTable:
         special seeds always survive.  Only safe between operations: weights
         held solely by in-flight intermediates are not marked.
         """
-        before = len(self)
+        before = self._count
         survivors: Dict[Tuple[int, int], List[complex]] = {}
+        count = 0
         for key, bucket in self._buckets.items():
             kept = [value for value in bucket if value in marked]
             if kept:
                 survivors[key] = kept
+                count += len(kept)
         self._buckets = survivors
+        self._count = count
         self._seed()
-        return before - len(self)
+        return before - self._count
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
     def _key(self, value: complex) -> Tuple[int, int]:
+        width = 2.0 * self.tolerance
         return (
-            int(math.floor(value.real / self.tolerance)),
-            int(math.floor(value.imag / self.tolerance)),
+            math.floor(value.real / width),
+            math.floor(value.imag / width),
         )
 
     def _find(self, value: complex) -> "complex | None":
-        key_r, key_i = self._key(value)
+        """The nearest stored value within the tolerance, or ``None``.
+
+        Buckets are ``2 * tolerance`` wide, so the tolerance ball around
+        ``value`` overlaps at most two buckets per axis: the query's own and
+        the neighbour on the side of the bucket's midpoint it lies on.
+        Ties keep the first value found.
+        """
+        tolerance = self.tolerance
+        width = 2.0 * tolerance
+        real, imag = value.real, value.imag
+        scaled_r = real / width
+        scaled_i = imag / width
+        key_r = math.floor(scaled_r)
+        key_i = math.floor(scaled_i)
+        rows = (key_r - 1, key_r) if scaled_r - key_r < 0.5 else (key_r, key_r + 1)
+        cols = (key_i - 1, key_i) if scaled_i - key_i < 0.5 else (key_i, key_i + 1)
+        get = self._buckets.get
         best = None
-        best_dist = math.inf
-        for off_r, off_i in _NEIGHBOUR_OFFSETS:
-            bucket = self._buckets.get((key_r + off_r, key_i + off_i))
-            if not bucket:
-                continue
-            for stored in bucket:
-                dist = max(
-                    abs(stored.real - value.real), abs(stored.imag - value.imag)
-                )
-                if dist < self.tolerance and dist < best_dist:
-                    best = stored
-                    best_dist = dist
+        best_dist = tolerance
+        for row in rows:
+            for col in cols:
+                bucket = get((row, col))
+                if bucket:
+                    for stored in bucket:
+                        dist = max(abs(stored.real - real), abs(stored.imag - imag))
+                        if dist < best_dist:
+                            best = stored
+                            best_dist = dist
         return best
 
     def _insert(self, value: complex) -> None:
         self._buckets.setdefault(self._key(value), []).append(value)
+        self._count += 1
+
+    def _discard(self, value: complex) -> bool:
+        """Remove one stored ``value`` from its bucket; return whether it was
+        there.  Used by fault injection to model an over-eager sweep."""
+        bucket = self._buckets.get(self._key(value))
+        if not bucket or value not in bucket:
+            return False
+        bucket.remove(value)
+        self._count -= 1
+        return True
 
 
 def phase_of(value: complex) -> float:

@@ -43,7 +43,7 @@ def outer_product(package: DDPackage, ket: Edge, bra: Edge) -> Edge:
         return ZERO_EDGE
     factor = package.complex_table.lookup(ket.weight * bra.weight.conjugate())
     result = _outer_nodes(package, ket.node, bra.node, {})
-    return result.scaled(factor, package.complex_table)
+    return package._export(result.scaled(factor, package.complex_table))
 
 
 def _outer_nodes(
@@ -89,7 +89,7 @@ def maximally_mixed(package: DDPackage, num_qubits: int) -> Edge:
     """The maximally mixed state ``I / 2^n``."""
     identity = package.identity(num_qubits)
     factor = package.complex_table.lookup(1.0 / (1 << num_qubits))
-    return identity.scaled(factor, package.complex_table)
+    return package._export(identity.scaled(factor, package.complex_table))
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +128,7 @@ def partial_trace(
             raise DDError(f"qubit {qubit} out of range for {num_qubits} qubits")
     cache: Dict[Node, Edge] = {}
     result = _pt_node(package, rho.node, traced, cache)
-    return result.scaled(rho.weight, package.complex_table)
+    return package._export(result.scaled(rho.weight, package.complex_table))
 
 
 def _pt_node(

@@ -12,8 +12,10 @@ Two special shapes occur:
   appear as successors of level-0 nodes, or as the root of a 0-qubit DD).
 
 Edges are immutable value objects; equality is structural (same node object,
-same canonical weight), which — thanks to hash consing and the complex
-table — coincides with semantic equality of the represented functions.
+same weight).  Weights stored on nodes and root weights handed out by the
+package are canonical, so for those edges — thanks to hash consing and the
+complex table — equality coincides with semantic equality of the
+represented functions.
 """
 
 from __future__ import annotations
@@ -45,11 +47,17 @@ class Edge(NamedTuple):
         return Edge(self.node, weight)
 
     def scaled(self, factor: complex, table: ComplexTable) -> "Edge":
-        """This edge with its weight multiplied by ``factor`` (canonicalized)."""
+        """This edge with its weight multiplied by ``factor``.
+
+        The product stays a raw ``complex``: weights are canonicalized only
+        where they land on a node (normalization) or leave the package as a
+        root.  A product within ``table``'s tolerance of zero becomes the
+        zero stub.
+        """
         if factor == ComplexTable.ONE:
             return self
-        product = table.lookup(self.weight * factor)
-        if product == ComplexTable.ZERO:
+        product = self.weight * factor
+        if table.is_zero(product):
             return ZERO_EDGE
         return Edge(self.node, product)
 

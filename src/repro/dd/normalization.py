@@ -75,6 +75,11 @@ def normalize(
     normalized edges by ``common_factor`` recovers the original weights.
     If all edges are zero, the common factor is 0 and all edges are zero
     stubs (the caller then collapses the whole node to a zero stub).
+
+    The input weights may be raw ``complex`` values.  The factor and every
+    normalized weight come back canonical: this is one of the two places
+    the complex table is consulted (the other is a root edge leaving the
+    package).
     """
     edges = _clean_edges(edges, table)
     if all(edge.is_zero for edge in edges):
@@ -129,4 +134,4 @@ def _normalize_max(
             normalized.append(Edge(edge.node, ComplexTable.ONE))
         else:
             normalized.append(Edge(edge.node, table.lookup(edge.weight / factor)))
-    return factor, tuple(normalized)
+    return table.lookup(factor), tuple(normalized)

@@ -12,9 +12,12 @@ tables, and exposes every operation the paper builds on:
 * queries — node counts (terminal excluded, as in the paper), amplitudes,
   dense reconstruction, inner products and norms.
 
-All edge weights flowing through the package are canonicalized through the
-complex table, so edges compare with plain ``==`` and two structurally equal
-diagrams share the very same root node (canonicity; paper Sec. III-C).
+Weights stored on nodes are canonicalized through the complex table during
+normalization, and every root edge a public operation returns carries a
+canonical weight, so those edges compare with plain ``==`` and two
+structurally equal diagrams share the very same root node (canonicity; paper
+Sec. III-C).  Weight arithmetic in between (edge scaling, ``add`` ratios,
+multiply/kron factors) stays raw ``complex`` (arXiv:1911.12691).
 
 Qubit/level convention follows the paper's big-endian notation: level ``n-1``
 (the root) is the most-significant qubit ``q_{n-1}``, level ``0`` is ``q_0``.
@@ -366,6 +369,13 @@ class DDPackage:
             return ZERO_EDGE
         return Edge(res.node, self.complex_table.lookup(edge.weight * res.weight))
 
+    def _export(self, edge: Edge) -> Edge:
+        """Canonicalize the weight of a root edge leaving the package."""
+        weight = self.complex_table.lookup(edge.weight)
+        if weight == ComplexTable.ZERO:
+            return ZERO_EDGE
+        return Edge(edge.node, weight)
+
     # ------------------------------------------------------------------
     # node creation (normalizing constructors)
     # ------------------------------------------------------------------
@@ -392,18 +402,20 @@ class DDPackage:
             raise DDError("matrix nodes require a non-negative level")
         if self._pooled is not None:
             return self._pooled.make_node_public(MATRIX, var, edges)
-        if self.identity_skipping:
-            e0, e1, e2, e3 = edges
-            if e1.is_zero and e2.is_zero and not e0.is_zero and e0 == e3:
-                self._identity_skips += 1
-                return e0
         factor, normalized = normalize(
             edges, self.complex_table, NormalizationScheme.MAX_MAGNITUDE
         )
         if factor == ComplexTable.ZERO:
             return ZERO_EDGE
+        if self.identity_skipping:
+            # Checked on the canonical weights: e0 == e3 then means both
+            # carry the pivot's exact 1.
+            e0, e1, e2, e3 = normalized
+            if e1.is_zero and e2.is_zero and not e0.is_zero and e0 == e3:
+                self._identity_skips += 1
+                return Edge(e0.node, factor)
         node = self._matrix_unique.get_or_create(var, normalized)
-        return Edge(node, self.complex_table.lookup(factor))
+        return Edge(node, factor)
 
     # ------------------------------------------------------------------
     # state construction
@@ -459,7 +471,7 @@ class DDPackage:
             value = complex(array[0])
             if self.complex_table.is_zero(value):
                 return ZERO_EDGE
-            return Edge(TERMINAL, self.complex_table.lookup(value))
+            return Edge(TERMINAL, value)
         half = array.shape[0] // 2
         low = self._vector_from_array(array[:half], var - 1)
         high = self._vector_from_array(array[half:], var - 1)
@@ -506,7 +518,7 @@ class DDPackage:
             value = complex(array[0, 0])
             if self.complex_table.is_zero(value):
                 return ZERO_EDGE
-            return Edge(TERMINAL, self.complex_table.lookup(value))
+            return Edge(TERMINAL, value)
         half = array.shape[0] // 2
         blocks = (
             array[:half, :half],
@@ -530,8 +542,7 @@ class DDPackage:
                     if self.complex_table.is_zero(value) or edge.is_zero:
                         children.append(ZERO_EDGE)
                     else:
-                        weight = self.complex_table.lookup(value * edge.weight)
-                        children.append(Edge(edge.node, weight))
+                        children.append(edge.scaled(value, self.complex_table))
             edge = self.make_matrix_node(var, children)
         return edge
 
@@ -576,7 +587,9 @@ class DDPackage:
             factors[control] = _ELEMENTARY[(1, 1)]
         for control in negative_controls:
             factors[control] = _ELEMENTARY[(0, 0)]
-        return self._add(self.identity(num_qubits), self._chain(num_qubits, factors))
+        return self._export(
+            self._add(self.identity(num_qubits), self._chain(num_qubits, factors))
+        )
 
     def two_qubit_gate(
         self, num_qubits: int, matrix: np.ndarray, qubit_high: int, qubit_low: int
@@ -607,7 +620,7 @@ class DDPackage:
                     {qubit_high: _ELEMENTARY[(i, j)], qubit_low: block},
                 )
                 result = self._add(result, term)
-        return result
+        return self._export(result)
 
     @staticmethod
     def _check_line(num_qubits: int, line: int) -> None:
@@ -623,9 +636,9 @@ class DDPackage:
         left = self._resolve(left)
         right = self._resolve(right)
         if not self._obs_on:
-            return self._add(left, right)
+            return self._export(self._add(left, right))
         start = perf_counter()
-        result = self._add(left, right)
+        result = self._export(self._add(left, right))
         self._observe_op("add", start)
         return result
 
@@ -649,7 +662,7 @@ class DDPackage:
             total = left.weight + right.weight
             if self.complex_table.is_zero(total):
                 return ZERO_EDGE
-            return Edge(TERMINAL, self.complex_table.lookup(total))
+            return Edge(TERMINAL, total)
         if self.identity_skipping and (
             left.node.is_terminal
             or right.node.is_terminal
@@ -669,7 +682,7 @@ class DDPackage:
         if right.node.uid < left.node.uid:
             left, right = right, left
         # Factor the left weight out: l + r = w_l * (l/w_l + r/w_l).
-        ratio = self.complex_table.lookup(right.weight / left.weight)
+        ratio = right.weight / left.weight
         key = (left.node, right.node, ratio)
         cached = self._add_cache.lookup(key)
         if cached is None:
@@ -718,7 +731,7 @@ class DDPackage:
         )
         if right.node.uid < left.node.uid:
             left, right = right, left
-        ratio = self.complex_table.lookup(right.weight / left.weight)
+        ratio = right.weight / left.weight
         key = (left.node, right.node, ratio)
         cached = self._add_cache.lookup(key)
         if cached is None:
@@ -744,9 +757,9 @@ class DDPackage:
         operation = self._resolve(operation)
         operand = self._resolve(operand)
         if not self._obs_on:
-            return self._multiply(operation, operand)
+            return self._export(self._multiply(operation, operand))
         start = perf_counter()
-        result = self._multiply(operation, operand)
+        result = self._export(self._multiply(operation, operand))
         self._observe_op("multiply", start)
         return result
 
@@ -757,10 +770,7 @@ class DDPackage:
             if self.identity_skipping and operation.node.is_terminal:
                 # A fully skipped operation (w * identity) rescales the
                 # operand, whatever its kind.
-                return Edge(
-                    operand.node,
-                    self.complex_table.lookup(operation.weight * operand.weight),
-                )
+                return operand.scaled(operation.weight, self.complex_table)
             raise DDError("the first multiply operand must be a matrix DD")
         if isinstance(operand.node, MatrixNode) or (
             self.identity_skipping and operand.node.is_terminal
@@ -783,7 +793,9 @@ class DDPackage:
                     engine.from_edge(m_edge), engine.from_edge(v_edge)
                 ),
             )
-        factor = self.complex_table.lookup(m_edge.weight * v_edge.weight)
+        factor = m_edge.weight * v_edge.weight
+        if self.complex_table.is_zero(factor):
+            return ZERO_EDGE
         if m_edge.node.is_terminal and v_edge.node.is_terminal:
             return Edge(TERMINAL, factor)
         if self.identity_skipping and not v_edge.node.is_terminal:
@@ -842,7 +854,9 @@ class DDPackage:
                     engine.from_edge(a_edge), engine.from_edge(b_edge)
                 ),
             )
-        factor = self.complex_table.lookup(a_edge.weight * b_edge.weight)
+        factor = a_edge.weight * b_edge.weight
+        if self.complex_table.is_zero(factor):
+            return ZERO_EDGE
         if a_edge.node.is_terminal and b_edge.node.is_terminal:
             return Edge(TERMINAL, factor)
         if self.identity_skipping:
@@ -916,9 +930,9 @@ class DDPackage:
         top = self._resolve(top)
         bottom = self._resolve(bottom)
         if not self._obs_on:
-            return self._kron(top, bottom, bottom_qubits)
+            return self._export(self._kron(top, bottom, bottom_qubits))
         start = perf_counter()
-        result = self._kron(top, bottom, bottom_qubits)
+        result = self._export(self._kron(top, bottom, bottom_qubits))
         self._observe_op("kron", start)
         return result
 
@@ -944,9 +958,8 @@ class DDPackage:
                     kind, engine.from_edge(top), engine.from_edge(bottom), shift
                 ),
             )
-        factor = self.complex_table.lookup(top.weight * bottom.weight)
         result = self._kron_nodes(top.node, bottom.node, shift)
-        return result.scaled(factor, self.complex_table)
+        return result.scaled(top.weight * bottom.weight, self.complex_table)
 
     def _kron_nodes(self, top: Node, bottom: Node, shift: int) -> Edge:
         if top.is_terminal:
@@ -1027,9 +1040,9 @@ class DDPackage:
         self._maybe_gc()
         operation = self._resolve(operation)
         if not self._obs_on:
-            return self._adjoint(operation)
+            return self._export(self._adjoint(operation))
         start = perf_counter()
-        result = self._adjoint(operation)
+        result = self._export(self._adjoint(operation))
         self._observe_op("adjoint", start)
         return result
 
@@ -1043,9 +1056,8 @@ class DDPackage:
             ):
                 raise DDError("adjoint is only defined for matrix DDs")
             return engine.to_edge(MATRIX, engine.adjoint(engine.from_edge(operation)))
-        weight = self.complex_table.lookup(operation.weight.conjugate())
         result = self._adjoint_node(operation.node)
-        return result.scaled(weight, self.complex_table)
+        return result.scaled(operation.weight.conjugate(), self.complex_table)
 
     def _adjoint_node(self, node: Node) -> Edge:
         if node.is_terminal:

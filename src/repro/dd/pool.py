@@ -36,12 +36,11 @@ provides the three storage primitives the pooled backend is built from:
 
 from __future__ import annotations
 
-import math
 import weakref
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
+from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE, SEED_VALUES
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["WeightPool", "NodePool", "PooledUniqueTable", "TERMINAL_INDEX"]
@@ -80,12 +79,6 @@ class WeightPool(ComplexTable):
         self._re = array("d")
         self._im = array("d")
         self._free: List[int] = []
-        # Bumped on every mutation of the representative set (mint, sweep,
-        # clear).  ``lookup`` resolves a raw value to its *nearest* stored
-        # representative, so its result is only a pure function of the
-        # input while the generation stands still — caches of lookup
-        # results must be invalidated whenever it moves.
-        self.generation = 0
         super().__init__(tolerance, registry=registry)
 
     # ------------------------------------------------------------------
@@ -93,7 +86,6 @@ class WeightPool(ComplexTable):
     # ------------------------------------------------------------------
     def _register_value(self, value: complex) -> int:
         """Assign ``value`` an index (reusing a freed slot when possible)."""
-        self.generation += 1
         if self._free:
             index = self._free.pop()
             self._values[index] = value
@@ -108,15 +100,8 @@ class WeightPool(ComplexTable):
         return index
 
     def _seed(self) -> None:
-        sqrt2_inv = 1.0 / math.sqrt(2.0)
-        for special in (
-            self.ZERO, self.ONE, -self.ONE, 1j, -1j,
-            complex(sqrt2_inv, 0.0), complex(-sqrt2_inv, 0.0),
-            complex(0.0, sqrt2_inv), complex(0.0, -sqrt2_inv),
-        ):
-            bucket = self._buckets.setdefault(self._key(special), [])
-            if special not in bucket:
-                bucket.append(special)
+        super()._seed()
+        for special in SEED_VALUES:
             if special not in self._exact:
                 self._register_value(special)
         if not hasattr(self, "_seed_count"):
@@ -152,10 +137,8 @@ class WeightPool(ComplexTable):
     def lookup_many(self, values: Iterable[complex]) -> List[int]:
         """Batched canonicalization: one index per input value.
 
-        Amortizes attribute lookups over a whole batch (used when building
-        DDs from dense vectors/matrices and by the batched normalization
-        path); exact-dict hits dominate because repeated amplitudes repeat
-        bit-identically.
+        Amortizes attribute lookups over a whole batch; exact-dict hits
+        dominate because repeated amplitudes repeat bit-identically.
         """
         exact_get = self._exact.get
         out = []
@@ -212,7 +195,6 @@ class WeightPool(ComplexTable):
         self._re = array("d")
         self._im = array("d")
         self._free = []
-        self.generation += 1
         super().clear()
 
     def sweep(self, marked: "set[complex]") -> int:
@@ -231,14 +213,14 @@ class WeightPool(ComplexTable):
         tombstone-free, like the unique-table rebuild — and pushes freed
         slots onto the free-list for reuse.  Returns the number freed.
         """
-        freed = 0
-        self.generation += 1
+        freed = kept = 0
         survivors: dict = {}
         for index, value in enumerate(self._values):
             if value is None:
                 continue
             if index < self._seed_count or index in marked:
                 survivors.setdefault(self._key(value), []).append(value)
+                kept += 1
             else:
                 freed += 1
                 del self._exact[value]
@@ -247,6 +229,7 @@ class WeightPool(ComplexTable):
                 self._im[index] = float("nan")
                 self._free.append(index)
         self._buckets = survivors
+        self._count = kept
         # Seeds are index-permanent, but a fault may have removed one from
         # the buckets; re-seeding restores bucket membership idempotently.
         self._seed()

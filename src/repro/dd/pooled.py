@@ -1,13 +1,17 @@
 """The pooled (index-based) DD engine behind :class:`~repro.dd.package.DDPackage`.
 
 The engine keeps every node in a :class:`~repro.dd.pool.NodePool` and every
-edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot recursions
-(addition, multiplication, tensor products, the direct apply kernels) pass
-``(node_index, weight_index)`` integer pairs and never allocate node or edge
-objects.  Each operation mirrors its object-backend counterpart *line by
-line* — same arithmetic, same operand ordering, same complex-table lookup
-sequence — so both backends produce byte-for-byte identical canonical
-weights and isomorphic diagrams (the differential suite's contract).
+stored edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot
+recursions (addition, multiplication, tensor products, the direct apply
+kernels) pass in-flight ``(node_index, weight)`` pairs and never allocate
+node or edge objects.  In-flight weights are raw ``complex`` values: the
+weight pool is consulted only when a node is normalized (its factor and
+successor weights, stored as indices in ``NodePool.wsucc``) and when a root
+edge leaves the engine (:meth:`PooledEngine.to_edge`).  Each operation
+mirrors its object-backend counterpart *line by line* — same arithmetic,
+same operand ordering, same complex-table lookup sequence — so both
+backends produce byte-for-byte identical canonical weights and isomorphic
+diagrams (the differential suite's contract).
 
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
@@ -41,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge, ZERO_EDGE
 from repro.dd.node import MatrixNode, Node, TERMINAL, VectorNode
-from repro.dd.normalization import NormalizationScheme, normalize
+from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import (
     FREED_VAR,
     NodePool,
@@ -60,9 +64,18 @@ __all__ = [
     "PooledApplyKernel",
 ]
 
-#: Index-pair edges for the two special shapes.
-ZERO_E = (TERMINAL_INDEX, WeightPool.ZERO_INDEX)
-ONE_E = (TERMINAL_INDEX, WeightPool.ONE_INDEX)
+_ONE = complex(1.0, 0.0)
+_INF = float("inf")
+
+def _reject_nonfinite(edges) -> None:
+    for _node, weight in edges:
+        if not abs(weight) < _INF:
+            raise DDError(f"non-finite edge weight {weight!r} in normalization")
+
+
+#: In-flight ``(node_index, weight)`` edges for the two special shapes.
+ZERO_E = (TERMINAL_INDEX, 0j)
+ONE_E = (TERMINAL_INDEX, _ONE)
 
 VECTOR, MATRIX = 0, 1
 
@@ -292,137 +305,8 @@ class PooledEngine:
         # Interned gate operations: op-key tuple -> small integer, so apply
         # cache keys are two-int tuples instead of nested tuples.
         self._gate_ids: Dict[tuple, int] = {}
-        # Index-keyed weight-arithmetic memos (the complex operation
-        # caches of arXiv:1911.12691): between mutations of the weight
-        # table a repeated product/quotient/sum — or a whole normalization
-        # of a repeated weight combination — resolves with one dict probe
-        # instead of complex arithmetic plus a bucket search.
-        #
-        # Soundness: ``lookup`` snaps a raw value to the *nearest* stored
-        # representative, so its result can change when a new
-        # representative is minted closer to the raw value.  The memos are
-        # therefore valid only for one ``weights.generation`` — every
-        # helper clears them when the generation has moved, which keeps
-        # the pooled backend's arithmetic bit-for-bit the object
-        # backend's (the object backend re-resolves every lookup).
-        # A result is *stable* when the raw value resolved at distance
-        # zero (bit-identical to its representative, or canonically zero):
-        # no later mint can ever resolve it differently, so those entries
-        # survive generation bumps.  Tolerance-snapped results (distance
-        # > 0) go into the fragile dicts and are dropped whenever the
-        # generation moves.
-        # Constructed apply kernels, reused across gate applications when
-        # their canonicalization is mint-stable (kernel.cacheable).
+        # Constructed apply kernels, reused across gate applications.
         self._kernel_cache: Dict[tuple, object] = {}
-        self._wmul_stable: Dict[Tuple[int, int], int] = {}
-        self._wdiv_stable: Dict[Tuple[int, int], int] = {}
-        self._wadd_stable: Dict[Tuple[int, int], int] = {}
-        self._norm_stable: Dict[tuple, tuple] = {}
-        self._wmul: Dict[Tuple[int, int], int] = {}
-        self._wdiv: Dict[Tuple[int, int], int] = {}
-        self._wadd: Dict[Tuple[int, int], int] = {}
-        self._norm_memo: Dict[tuple, tuple] = {}
-        self._memo_generation = self.weights.generation
-
-    _WEIGHT_MEMO_CAP = 1 << 17
-
-    # ------------------------------------------------------------------
-    # weight arithmetic memos
-    # ------------------------------------------------------------------
-    def _sync_weight_memos(self) -> int:
-        """Clear the fragile memos if the weight table mutated."""
-        generation = self.weights.generation
-        if self._memo_generation != generation:
-            self._wmul.clear()
-            self._wdiv.clear()
-            self._wadd.clear()
-            self._norm_memo.clear()
-            self._memo_generation = generation
-        return generation
-
-    def _memo_store(
-        self, stable: dict, fragile: dict, key, widx: int, raw: complex,
-        generation: int,
-    ) -> None:
-        """File ``key -> widx`` under the right lifetime.
-
-        Distance-zero results (``values[widx] == raw``, including the
-        canonical zero) can never be beaten by a later mint and live in
-        the stable dict.  Snapped results are valid only while no new
-        representative appears: they go into the fragile dict — unless
-        this very lookup minted (generation moved), in which case every
-        fragile entry may already be stale and is dropped.
-        """
-        weights = self.weights
-        if widx == 0 or weights._values[widx] == raw:
-            if len(stable) >= self._WEIGHT_MEMO_CAP:
-                stable.clear()
-            stable[key] = widx
-            if weights.generation != generation:
-                self._sync_weight_memos()
-            return
-        if weights.generation != generation:
-            self._sync_weight_memos()
-        elif len(fragile) >= self._WEIGHT_MEMO_CAP:
-            fragile.clear()
-        fragile[key] = widx
-
-    def _mul_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] * values[b]`` (commutative, ordered key)."""
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        key = (a, b) if a <= b else (b, a)
-        widx = self._wmul_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
-        widx = self._wmul.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] * weights._values[b]
-            widx = weights.lookup_index(raw)
-            self._memo_store(
-                self._wmul_stable, self._wmul, key, widx, raw, generation
-            )
-        return widx
-
-    def _div_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] / values[b]``."""
-        if b == 1:
-            return a
-        key = (a, b)
-        widx = self._wdiv_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
-        widx = self._wdiv.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] / weights._values[b]
-            widx = weights.lookup_index(raw)
-            self._memo_store(
-                self._wdiv_stable, self._wdiv, key, widx, raw, generation
-            )
-        return widx
-
-    def _add_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] + values[b]`` (0 when the sum is zero)."""
-        key = (a, b) if a <= b else (b, a)
-        widx = self._wadd_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
-        widx = self._wadd.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] + weights._values[b]
-            widx = 0 if weights.is_zero(raw) else weights.lookup_index(raw)
-            self._memo_store(
-                self._wadd_stable, self._wadd, key, widx, raw, generation
-            )
-        return widx
 
     # ------------------------------------------------------------------
     # views and edge conversion
@@ -459,23 +343,27 @@ class PooledEngine:
             )
         return index
 
-    def to_edge(self, kind: int, edge: Tuple[int, int]) -> Edge:
-        index, widx = edge
-        if widx == 0:
+    def to_edge(self, kind: int, edge: Tuple[int, complex]) -> Edge:
+        """Hand an in-flight pair out as a root edge (canonical weight)."""
+        index, weight = edge
+        if weight:
+            weight = self.weights.lookup(weight)
+        if not weight:
             return ZERO_EDGE
-        return Edge(self.view(kind, index), self.weights._values[widx])
+        return Edge(self.view(kind, index), weight)
 
-    def from_edge(self, edge: Edge) -> Tuple[int, int]:
-        return (
-            self.node_index(edge.node),
-            self.weights.lookup_index(edge.weight),
-        )
+    def from_edge(self, edge: Edge) -> Tuple[int, complex]:
+        return (self.node_index(edge.node), edge.weight)
 
-    def var_of(self, kind: int, index: int) -> int:
-        if index < 0:
-            return -1
+    def children(self, kind: int, index: int) -> List[Tuple[int, complex]]:
+        """In-flight successor pairs ``(node_index, weight)`` of a node."""
         pool = self.vpool if kind == VECTOR else self.mpool
-        return pool.var[index]
+        values = self.weights._values
+        succ, wsucc = pool.succ, pool.wsucc
+        base = index * pool.arity
+        return [
+            (succ[k], values[wsucc[k]]) for k in range(base, base + pool.arity)
+        ]
 
     def count_nodes(self, kind: int, index: int) -> int:
         """Reachable non-terminal node count, walked on the flat arrays."""
@@ -500,16 +388,17 @@ class PooledEngine:
         return len(seen)
 
     # ------------------------------------------------------------------
-    # weight arithmetic (index level)
+    # weight arithmetic (raw complex)
     # ------------------------------------------------------------------
-    def scale(self, edge: Tuple[int, int], factor: int) -> Tuple[int, int]:
-        """Mirror of :meth:`Edge.scaled` on index pairs."""
-        if factor == 1:
+    def scale(self, edge: Tuple[int, complex], factor: complex) -> Tuple[int, complex]:
+        """Mirror of :meth:`Edge.scaled` on in-flight pairs."""
+        if factor == _ONE:
             return edge
-        widx = self._mul_index(edge[1], factor)
-        if widx == 0:
+        product = edge[1] * factor
+        tolerance = self.weights.tolerance
+        if abs(product.real) < tolerance and abs(product.imag) < tolerance:
             return ZERO_E
-        return (edge[0], widx)
+        return (edge[0], product)
 
     # ------------------------------------------------------------------
     # node creation (normalizing constructor)
@@ -529,198 +418,95 @@ class PooledEngine:
         unique.insert_at(slot, index)
         return index
 
-    def make_node_values(
-        self, kind: int, var: int, value_edges: Tuple[Edge, ...]
-    ) -> Tuple[int, int]:
-        """Normalize + cons from ``Edge(node_index, raw_weight)`` tuples.
-
-        Runs the *same* :func:`~repro.dd.normalization.normalize` as the
-        object backend (the ``node`` field of the throwaway edges is an
-        integer pool index, which normalization carries through untouched),
-        so factor extraction and canonicalization are bit-identical.
-        """
-        if kind == MATRIX and self.identity_skipping:
-            e0, e1, e2, e3 = value_edges
-            if (
-                e1.weight == ComplexTable.ZERO
-                and e2.weight == ComplexTable.ZERO
-                and e0.weight != ComplexTable.ZERO
-                and e0 == e3
-            ):
-                self.identity_skips += 1
-                n0 = e0.node if isinstance(e0.node, int) else TERMINAL_INDEX
-                return (n0, self.weights.lookup_index(e0.weight))
-        scheme = (
-            self.vector_scheme if kind == VECTOR else NormalizationScheme.MAX_MAGNITUDE
-        )
-        factor, normalized = normalize(value_edges, self.weights, scheme)
-        if factor == ComplexTable.ZERO:
-            return ZERO_E
-        exact = self.weights._exact
-        successors = []
-        wsuccs = []
-        for edge in normalized:
-            node = edge.node
-            successors.append(node if isinstance(node, int) else TERMINAL_INDEX)
-            weight = edge.weight
-            wsuccs.append(0 if weight == ComplexTable.ZERO else exact[weight])
-        index = self._cons(kind, var, successors, wsuccs)
-        if kind == VECTOR:
-            # The L2 factor was canonicalized inside normalization.
-            return (index, exact[factor])
-        return (index, self.weights.lookup_index(factor))
-
     def make_node(
-        self, kind: int, var: int, edges: Sequence[Tuple[int, int]]
-    ) -> Tuple[int, int]:
-        """Normalize + cons from index-pair edges (the hot-path entry).
+        self, kind: int, var: int, edges: Sequence[Tuple[int, complex]]
+    ) -> Tuple[int, complex]:
+        """Normalize + cons from in-flight pairs; returns ``(index, factor)``.
 
-        Inlines :func:`~repro.dd.normalization.normalize` on the index
-        pairs — the identical floating-point operations in the identical
-        order (``_clean_edges`` is the identity here: pool indices only
-        exist for finite canonical values, and the only sub-tolerance
-        canonical value is the zero at index 0), so the result is
-        bit-for-bit what :meth:`make_node_values` would have produced,
-        without materializing throwaway edge tuples.
+        Inlines :func:`~repro.dd.normalization.normalize` — the identical
+        floating-point operations and complex-table lookups in the
+        identical order — so both backends mint the same canonical
+        weights.  The returned factor is canonical; the normalized
+        successor weights are stored as weight-pool indices.
         """
         weights = self.weights
-        if kind == MATRIX and self.identity_skipping:
-            (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
-            if w1 == 0 and w2 == 0 and w0 != 0 and n0 == n3 and w0 == w3:
-                self.identity_skips += 1
-                return (n0, w0)
+        tolerance = weights.tolerance
+        lookup_index = weights.lookup_index
         if kind == VECTOR and self.vector_scheme is NormalizationScheme.L2:
             (n0, w0), (n1, w1) = edges
-            if w0 == 0 and w1 == 0:
+            a0 = abs(w0)
+            a1 = abs(w1)
+            if not (a0 < _INF and a1 < _INF):
+                _reject_nonfinite(edges)
+            # _clean_edges: sub-tolerance weights become zero stubs.
+            if w0 and abs(w0.real) < tolerance and abs(w0.imag) < tolerance:
+                w0, a0 = 0j, 0.0
+            if w1 and abs(w1.real) < tolerance and abs(w1.imag) < tolerance:
+                w1, a1 = 0j, 0.0
+            if not w0 and not w1:
                 return ZERO_E
-            # Normalization depends only on the weight pair, so a repeated
-            # pair replays its canonical decomposition from the memo; the
-            # successors are carried through unchanged (a zero input edge
-            # points at the terminal, mirroring _clean_edges).
-            hit = self._norm_stable.get((w0, w1))
-            if hit is None:
-                generation = self._sync_weight_memos()
-                hit = self._norm_memo.get((w0, w1))
-            if hit is None:
-                values = weights._values
-                if w0 == 0:
-                    v1 = values[w1]
-                    # sum() over the cleaned pair: 0 + 0.0 + |v1|**2.
-                    norm = math.sqrt(0.0 + abs(v1) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v1))
-                    factor = weights.lookup(raw_factor)
-                    nw0 = 0
-                    raw0 = complex(abs(v1) / norm, 0.0)
-                    nw1 = weights.lookup_index(raw0)
-                    stable = factor == raw_factor and values[nw1] == raw0
-                elif w1 == 0:
-                    v0 = values[w0]
-                    norm = math.sqrt(0.0 + abs(v0) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v0))
-                    factor = weights.lookup(raw_factor)
-                    raw0 = complex(abs(v0) / norm, 0.0)
-                    nw0 = weights.lookup_index(raw0)
-                    nw1 = 0
-                    stable = factor == raw_factor and values[nw0] == raw0
-                else:
-                    v0 = values[w0]
-                    v1 = values[w1]
-                    norm = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v0))
-                    factor = weights.lookup(raw_factor)
-                    raw0 = complex(abs(v0) / norm, 0.0)
-                    nw0 = weights.lookup_index(raw0)
-                    # A normalized weight may collapse to zero (index 0);
-                    # the successor is kept either way, mirroring
-                    # make_node_values.
-                    raw1 = v1 / factor
-                    nw1 = weights.lookup_index(raw1)
-                    stable = (
-                        factor == raw_factor
-                        and values[nw0] == raw0
-                        and (nw1 == 0 or values[nw1] == raw1)
-                    )
-                hit = (weights._exact[factor], nw0, nw1)
-                if stable:
-                    # Every component resolved at distance zero: no later
-                    # mint can change this decomposition.
-                    if len(self._norm_stable) >= self._WEIGHT_MEMO_CAP:
-                        self._norm_stable.clear()
-                    self._norm_stable[(w0, w1)] = hit
-                    if weights.generation != generation:
-                        self._sync_weight_memos()
-                elif weights.generation == generation:
-                    memo = self._norm_memo
-                    if len(memo) >= self._WEIGHT_MEMO_CAP:
-                        memo.clear()
-                    memo[(w0, w1)] = hit
-                else:
-                    # A mid-normalization mint: an earlier lookup of the
-                    # same pair might now resolve differently — recompute
-                    # next time instead of memoizing.
-                    self._sync_weight_memos()
-            factor_index, nw0, nw1 = hit
-            index = self._cons(
-                kind,
-                var,
-                (n0 if w0 else TERMINAL_INDEX, n1 if w1 else TERMINAL_INDEX),
-                (nw0, nw1),
-            )
-            return (index, factor_index)
-        # MAX_MAGNITUDE (matrix nodes; vector nodes under that scheme).
-        key = (kind,) + tuple(w for _n, w in edges)
-        hit = self._norm_stable.get(key)
-        if hit is None:
-            generation = self._sync_weight_memos()
-            hit = self._norm_memo.get(key)
-        if hit is None:
-            values = weights._values
-            vals = [values[w] for _n, w in edges]
-            magnitudes = [abs(v) for v in vals]
-            maximum = max(magnitudes)
-            if maximum == 0.0:
-                return ZERO_E
-            threshold = maximum - weights.tolerance
-            pivot = next(
-                k for k, magnitude in enumerate(magnitudes) if magnitude >= threshold
-            )
-            factor = vals[pivot]
-            lookup_index = weights.lookup_index
-            stable = True
-            wsuccs = []
-            for k, (_n, w) in enumerate(edges):
-                if w == 0:
-                    wsuccs.append(0)
-                elif k == pivot:
-                    wsuccs.append(WeightPool.ONE_INDEX)
-                else:
-                    raw = vals[k] / factor
-                    widx = lookup_index(raw)
-                    if widx != 0 and values[widx] != raw:
-                        stable = False
-                    wsuccs.append(widx)
-            # The pivot weight is already canonical, so its lookup always
-            # resolves at distance zero.
-            hit = (lookup_index(factor), tuple(wsuccs))
-            if stable:
-                if len(self._norm_stable) >= self._WEIGHT_MEMO_CAP:
-                    self._norm_stable.clear()
-                self._norm_stable[key] = hit
-                if weights.generation != generation:
-                    self._sync_weight_memos()
-            elif weights.generation == generation:
-                memo = self._norm_memo
-                if len(memo) >= self._WEIGHT_MEMO_CAP:
-                    memo.clear()
-                memo[key] = hit
+            # sum() over the cleaned pair, starting from 0 like normalize.
+            norm = math.sqrt(0 + a0 ** 2 + a1 ** 2)
+            factor = weights.lookup(cmath.rect(norm, cmath.phase(w0 if w0 else w1)))
+            if w0:
+                # Exactly real and non-negative by construction.
+                nw0 = lookup_index(complex(a0 / norm, 0.0))
+                nw1 = lookup_index(w1 / factor) if w1 else 0
             else:
-                self._sync_weight_memos()
-        factor_index, wsuccs = hit
-        successors = tuple(
-            n if w else TERMINAL_INDEX for n, w in edges
-        )
-        index = self._cons(kind, var, successors, wsuccs)
-        return (index, factor_index)
+                nw0 = 0
+                nw1 = lookup_index(complex(a1 / norm, 0.0))
+            successors = (n0 if w0 else TERMINAL_INDEX, n1 if w1 else TERMINAL_INDEX)
+            return (self._cons(kind, var, successors, (nw0, nw1)), factor)
+        # MAX_MAGNITUDE (matrix nodes; vector nodes under that scheme).
+        successors = []
+        values = []
+        magnitudes = []
+        for node, weight in edges:
+            if weight:
+                magnitude = abs(weight)
+                if not magnitude < _INF:
+                    _reject_nonfinite(edges)
+                if abs(weight.real) >= tolerance or abs(weight.imag) >= tolerance:
+                    successors.append(node)
+                    values.append(weight)
+                    magnitudes.append(magnitude)
+                    continue
+            # _clean_edges: a sub-tolerance weight becomes a zero stub.
+            successors.append(TERMINAL_INDEX)
+            values.append(0j)
+            magnitudes.append(0.0)
+        maximum = max(magnitudes)
+        if maximum == 0.0:
+            return ZERO_E
+        # Tolerance-aware pivot (see _normalize_max): the first weight whose
+        # magnitude ties with the maximum.
+        threshold = maximum - tolerance
+        pivot = 0
+        while magnitudes[pivot] < threshold:
+            pivot += 1
+        pivot_weight = values[pivot]
+        wsuccs = []
+        for k, weight in enumerate(values):
+            if not weight:
+                wsuccs.append(0)
+            elif k == pivot:
+                wsuccs.append(WeightPool.ONE_INDEX)
+            else:
+                wsuccs.append(lookup_index(weight / pivot_weight))
+        factor = weights.lookup(pivot_weight)
+        if (
+            kind == MATRIX
+            and self.identity_skipping
+            and wsuccs[1] == 0
+            and wsuccs[2] == 0
+            and wsuccs[0] == wsuccs[3] != 0
+            and successors[0] == successors[3]
+        ):
+            # An identity over this level (both diagonal weights are the
+            # pivot's exact 1): skip it.
+            self.identity_skips += 1
+            return (successors[0], factor)
+        return (self._cons(kind, var, successors, wsuccs), factor)
 
     def make_node_public(self, kind: int, var: int, edges: Sequence[Edge]) -> Edge:
         """Package-boundary constructor taking ordinary edge objects."""
@@ -729,26 +515,27 @@ class PooledEngine:
             noun = "two" if arity == 2 else "four"
             name = "vector" if arity == 2 else "matrix"
             raise ValueError(f"{name} nodes have exactly {noun} successors")
-        converted = tuple(
-            Edge(self.node_index(edge.node), edge.weight) for edge in edges
-        )
-        return self.to_edge(kind, self.make_node_values(kind, var, converted))
+        converted = [
+            (self.node_index(edge.node), complex(edge.weight)) for edge in edges
+        ]
+        return self.to_edge(kind, self.make_node(kind, var, converted))
 
     # ------------------------------------------------------------------
-    # arithmetic (index level; each mirrors the object backend)
+    # arithmetic (in-flight pairs; each mirrors the object backend)
     # ------------------------------------------------------------------
     def add(
-        self, kind: int, left: Tuple[int, int], right: Tuple[int, int]
-    ) -> Tuple[int, int]:
+        self, kind: int, left: Tuple[int, complex], right: Tuple[int, complex]
+    ) -> Tuple[int, complex]:
         ln, lw = left
         rn, rw = right
-        if lw == 0:
+        if not lw:
             return right
-        if rw == 0:
+        if not rw:
             return left
         if ln < 0 and rn < 0:
-            total = self._add_index(lw, rw)
-            if total == 0:
+            total = lw + rw
+            tolerance = self.weights.tolerance
+            if abs(total.real) < tolerance and abs(total.imag) < tolerance:
                 return ZERO_E
             return (TERMINAL_INDEX, total)
         pool = self.vpool if kind == VECTOR else self.mpool
@@ -766,46 +553,34 @@ class PooledEngine:
         if order[rn] < order[ln]:
             ln, lw, rn, rw = rn, rw, ln, lw
         # Factor the left weight out: l + r = w_l * (l/w_l + r/w_l).
-        ratio = self._div_index(rw, lw)
+        ratio = rw / lw
         key = (kind, ln, rn, ratio)
         cache = self._add_cache
         cached = cache.lookup(key)
         if cached is None:
-            arity = pool.arity
-            succ, wsucc = pool.succ, pool.wsucc
-            lbase = ln * arity
-            rbase = rn * arity
-            children = [
-                self.add(
-                    kind,
-                    (succ[lbase + k], wsucc[lbase + k]),
-                    self.scale((succ[rbase + k], wsucc[rbase + k]), ratio),
-                )
-                for k in range(arity)
-            ]
-            cached = self.make_node(kind, lvar, children)
+            scale = self.scale
+            rchildren = self.children(kind, rn)
+            cached = self.make_node(kind, lvar, [
+                self.add(kind, lchild, scale(rchildren[k], ratio))
+                for k, lchild in enumerate(self.children(kind, ln))
+            ])
             cache.insert(key, cached)
         return self.scale(cached, lw)
 
-    def _mchildren_at(self, index: int, var: int, widx: int):
-        """Successors of ``widx * node`` viewed as a matrix node at ``var``.
+    def _mchildren_at(self, index: int, var: int, weight: complex):
+        """Successors of ``weight * node`` viewed as a matrix node at ``var``.
 
         With identity skipping, the terminal or a node below ``var`` stands
         for ``I ⊗ ... ⊗ node`` — virtually a diagonal node ``(e, 0, 0, e)``.
         """
         if index >= 0 and self.mpool.var[index] == var:
-            base = index * 4
-            succ, wsucc = self.mpool.succ, self.mpool.wsucc
-            return tuple(
-                self.scale((succ[base + k], wsucc[base + k]), widx)
-                for k in range(4)
-            )
-        unit = (index, widx)
+            return [self.scale(child, weight) for child in self.children(MATRIX, index)]
+        unit = (index, weight)
         return (unit, ZERO_E, ZERO_E, unit)
 
     def _add_skipping(
-        self, left: Tuple[int, int], right: Tuple[int, int]
-    ) -> Tuple[int, int]:
+        self, left: Tuple[int, complex], right: Tuple[int, complex]
+    ) -> Tuple[int, complex]:
         """Matrix addition across mismatched (skipped) levels."""
         ln, lw = left
         rn, rw = right
@@ -817,12 +592,12 @@ class PooledEngine:
             pool.var[ln] if ln >= 0 else -1,
             pool.var[rn] if rn >= 0 else -1,
         )
-        ratio = self._div_index(rw, lw)
+        ratio = rw / lw
         key = (MATRIX, ln, rn, ratio)
         cache = self._add_cache
         cached = cache.lookup(key)
         if cached is None:
-            lchildren = self._mchildren_at(ln, var, 1)
+            lchildren = self._mchildren_at(ln, var, _ONE)
             rchildren = self._mchildren_at(rn, var, ratio)
             children = [
                 self.add(MATRIX, lchildren[k], rchildren[k]) for k in range(4)
@@ -831,14 +606,24 @@ class PooledEngine:
             cache.insert(key, cached)
         return self.scale(cached, lw)
 
+    def _factor(self, a: complex, b: complex) -> complex:
+        """``a * b``, or exactly 0 when the product is sub-tolerance."""
+        product = a * b
+        tolerance = self.weights.tolerance
+        if abs(product.real) < tolerance and abs(product.imag) < tolerance:
+            return 0j
+        return product
+
     def multiply_mv(
-        self, m_edge: Tuple[int, int], v_edge: Tuple[int, int]
-    ) -> Tuple[int, int]:
+        self, m_edge: Tuple[int, complex], v_edge: Tuple[int, complex]
+    ) -> Tuple[int, complex]:
         mn, mw = m_edge
         vn, vw = v_edge
-        if mw == 0 or vw == 0:
+        if not mw or not vw:
             return ZERO_E
-        factor = self._mul_index(mw, vw)
+        factor = self._factor(mw, vw)
+        if not factor:
+            return ZERO_E
         if mn < 0 and vn < 0:
             return (TERMINAL_INDEX, factor)
         if self.identity_skipping and vn >= 0:
@@ -857,85 +642,70 @@ class PooledEngine:
         cache = self._mult_mv_cache
         cached = cache.lookup(key)
         if cached is None:
-            msucc, mwsucc = self.mpool.succ, self.mpool.wsucc
-            vsucc, vwsucc = self.vpool.succ, self.vpool.wsucc
-            mbase = mn * 4
-            vbase = vn * 2
-            v0 = (vsucc[vbase], vwsucc[vbase])
-            v1 = (vsucc[vbase + 1], vwsucc[vbase + 1])
-            children = [
-                self.add(
-                    VECTOR,
-                    self.multiply_mv(
-                        (msucc[mbase + 2 * i], mwsucc[mbase + 2 * i]), v0
-                    ),
-                    self.multiply_mv(
-                        (msucc[mbase + 2 * i + 1], mwsucc[mbase + 2 * i + 1]), v1
-                    ),
-                )
-                for i in (0, 1)
-            ]
-            cached = self.make_node(VECTOR, mvar, children)
+            cached = self._mv_node(mvar, self.children(MATRIX, mn), vn)
             cache.insert(key, cached)
         return self.scale(cached, factor)
 
-    def _multiply_mv_skipping(self, mn: int, vn: int) -> Tuple[int, int]:
+    def _mv_node(self, var: int, mchildren, vn: int) -> Tuple[int, complex]:
+        v0, v1 = self.children(VECTOR, vn)
+        multiply = self.multiply_mv
+        return self.make_node(VECTOR, var, [
+            self.add(
+                VECTOR,
+                multiply(mchildren[2 * i], v0),
+                multiply(mchildren[2 * i + 1], v1),
+            )
+            for i in (0, 1)
+        ])
+
+    def _multiply_mv_skipping(self, mn: int, vn: int) -> Tuple[int, complex]:
         """Matrix-vector product where the matrix skips the vector's level."""
         vvar = self.vpool.var[vn]
         key = (mn, vn)
         cache = self._mult_mv_cache
         cached = cache.lookup(key)
         if cached is None:
-            mchildren = self._mchildren_at(mn, vvar, 1)
-            vsucc, vwsucc = self.vpool.succ, self.vpool.wsucc
-            vbase = vn * 2
-            v0 = (vsucc[vbase], vwsucc[vbase])
-            v1 = (vsucc[vbase + 1], vwsucc[vbase + 1])
-            children = [
-                self.add(
-                    VECTOR,
-                    self.multiply_mv(mchildren[2 * i], v0),
-                    self.multiply_mv(mchildren[2 * i + 1], v1),
-                )
-                for i in (0, 1)
-            ]
-            cached = self.make_node(VECTOR, vvar, children)
+            cached = self._mv_node(vvar, self._mchildren_at(mn, vvar, _ONE), vn)
             cache.insert(key, cached)
         return cached
 
-    def _multiply_mm_skipping(self, an: int, bn: int) -> Tuple[int, int]:
+    def _mm_node(self, var: int, achildren, bchildren) -> Tuple[int, complex]:
+        multiply = self.multiply_mm
+        return self.make_node(MATRIX, var, [
+            self.add(
+                MATRIX,
+                multiply(achildren[2 * i], bchildren[j]),
+                multiply(achildren[2 * i + 1], bchildren[2 + j]),
+            )
+            for i in (0, 1)
+            for j in (0, 1)
+        ])
+
+    def _multiply_mm_skipping(self, an: int, bn: int) -> Tuple[int, complex]:
         """Matrix-matrix product across mismatched (skipped) levels."""
         var = max(self.mpool.var[an], self.mpool.var[bn])
         key = (an, bn)
         cache = self._mult_mm_cache
         cached = cache.lookup(key)
         if cached is None:
-            achildren = self._mchildren_at(an, var, 1)
-            bchildren = self._mchildren_at(bn, var, 1)
-            children = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    children.append(
-                        self.add(
-                            MATRIX,
-                            self.multiply_mm(achildren[2 * i], bchildren[j]),
-                            self.multiply_mm(
-                                achildren[2 * i + 1], bchildren[2 + j]
-                            ),
-                        )
-                    )
-            cached = self.make_node(MATRIX, var, children)
+            cached = self._mm_node(
+                var,
+                self._mchildren_at(an, var, _ONE),
+                self._mchildren_at(bn, var, _ONE),
+            )
             cache.insert(key, cached)
         return cached
 
     def multiply_mm(
-        self, a_edge: Tuple[int, int], b_edge: Tuple[int, int]
-    ) -> Tuple[int, int]:
+        self, a_edge: Tuple[int, complex], b_edge: Tuple[int, complex]
+    ) -> Tuple[int, complex]:
         an, aw = a_edge
         bn, bw = b_edge
-        if aw == 0 or bw == 0:
+        if not aw or not bw:
             return ZERO_E
-        factor = self._mul_index(aw, bw)
+        factor = self._factor(aw, bw)
+        if not factor:
+            return ZERO_E
         if an < 0 and bn < 0:
             return (TERMINAL_INDEX, factor)
         if self.identity_skipping:
@@ -956,82 +726,58 @@ class PooledEngine:
         cache = self._mult_mm_cache
         cached = cache.lookup(key)
         if cached is None:
-            succ, wsucc = self.mpool.succ, self.mpool.wsucc
-            abase = an * 4
-            bbase = bn * 4
-            children = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    children.append(
-                        self.add(
-                            MATRIX,
-                            self.multiply_mm(
-                                (succ[abase + 2 * i], wsucc[abase + 2 * i]),
-                                (succ[bbase + j], wsucc[bbase + j]),
-                            ),
-                            self.multiply_mm(
-                                (succ[abase + 2 * i + 1], wsucc[abase + 2 * i + 1]),
-                                (succ[bbase + 2 + j], wsucc[bbase + 2 + j]),
-                            ),
-                        )
-                    )
-            cached = self.make_node(MATRIX, avar, children)
+            cached = self._mm_node(
+                avar, self.children(MATRIX, an), self.children(MATRIX, bn)
+            )
             cache.insert(key, cached)
         return self.scale(cached, factor)
 
     def kron(
         self,
         kind: int,
-        top: Tuple[int, int],
-        bottom: Tuple[int, int],
+        top: Tuple[int, complex],
+        bottom: Tuple[int, complex],
         shift: int,
-    ) -> Tuple[int, int]:
-        if top[1] == 0 or bottom[1] == 0:
+    ) -> Tuple[int, complex]:
+        if not top[1] or not bottom[1]:
             return ZERO_E
-        factor = self._mul_index(top[1], bottom[1])
         result = self.kron_nodes(kind, top[0], bottom[0], shift)
-        return self.scale(result, factor)
+        return self.scale(result, top[1] * bottom[1])
 
     def kron_nodes(
         self, kind: int, top: int, bottom: int, shift: int
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, complex]:
         if top < 0:
-            return (bottom, 1)
+            return (bottom, _ONE)
         key = (kind, top, bottom, shift)
         cache = self._kron_cache
         cached = cache.lookup(key)
         if cached is None:
-            pool = self.vpool if kind == VECTOR else self.mpool
             children = []
-            for succ, wsucc in pool.edges_of(top):
-                if wsucc == 0:
+            for succ, weight in self.children(kind, top):
+                if not weight:
                     children.append(ZERO_E)
                 else:
                     sub = self.kron_nodes(kind, succ, bottom, shift)
-                    children.append(self.scale(sub, wsucc))
+                    children.append(self.scale(sub, weight))
+            pool = self.vpool if kind == VECTOR else self.mpool
             cached = self.make_node(kind, pool.var[top] + shift, children)
             cache.insert(key, cached)
         return cached
 
-    def adjoint(self, operation: Tuple[int, int]) -> Tuple[int, int]:
-        if operation[1] == 0:
+    def adjoint(self, operation: Tuple[int, complex]) -> Tuple[int, complex]:
+        if not operation[1]:
             return ZERO_E
-        weights = self.weights
-        weight = weights.lookup_index(weights._values[operation[1]].conjugate())
         result = self.adjoint_node(operation[0])
-        return self.scale(result, weight)
+        return self.scale(result, operation[1].conjugate())
 
-    def adjoint_node(self, index: int) -> Tuple[int, int]:
+    def adjoint_node(self, index: int) -> Tuple[int, complex]:
         if index < 0:
             return ONE_E
         cached = self._adjoint_cache.lookup(index)
         if cached is None:
-            succ, wsucc = self.mpool.succ, self.mpool.wsucc
-            base = index * 4
-            transposed = (base, base + 2, base + 1, base + 3)
-            children = [
-                self.adjoint((succ[offset], wsucc[offset])) for offset in transposed
-            ]
+            e00, e01, e10, e11 = self.children(MATRIX, index)
+            children = [self.adjoint(edge) for edge in (e00, e10, e01, e11)]
             cached = self.make_node(MATRIX, self.mpool.var[index], children)
             self._adjoint_cache.insert(index, cached)
         return cached
@@ -1072,24 +818,14 @@ class PooledEngine:
     # garbage collection
     # ------------------------------------------------------------------
     def clear_memos(self) -> None:
-        """Drop engine-private memoization (the interned gate ids).
+        """Drop engine-private memoization (interned gate ids and kernels).
 
         The shared compute tables are cleared by the package; this hook
-        exists so ``clear_caches``/HARD collections also reset state whose
-        keys embed canonical weight values.  The weight-arithmetic memos
-        are keyed on (and resolve to) weight indices, so they MUST be
-        dropped before any sweep can recycle an index.
+        lets ``clear_caches`` and HARD collections reset the gate ids the
+        apply cache keys embed as well.
         """
         self._gate_ids.clear()
         self._kernel_cache.clear()
-        self._wmul.clear()
-        self._wdiv.clear()
-        self._wadd.clear()
-        self._norm_memo.clear()
-        self._wmul_stable.clear()
-        self._wdiv_stable.clear()
-        self._wadd_stable.clear()
-        self._norm_stable.clear()
 
     def gate_id(self, op_key: tuple) -> int:
         """Intern an apply-kernel operation key to a small integer."""
@@ -1236,16 +972,16 @@ class PooledApplyKernel:
     """Index-level mirror of :class:`repro.dd.apply._ApplyKernel`.
 
     Same recursion, same shortcuts (diagonal / antidiagonal / controlled /
-    projector chain), same arithmetic on the same canonical values — but
-    operating on ``(node_index, weight_index)`` pairs, with the apply-cache
-    keyed ``(interned gate id, node index)`` so repeated gates hash two
-    small integers instead of a nested unitary tuple.
+    projector chain), same arithmetic on the same values — but operating
+    on in-flight ``(node_index, weight)`` pairs, with the apply-cache keyed
+    ``(interned gate id, node index)`` so repeated gates hash two small
+    integers instead of a nested unitary tuple.
     """
 
     __slots__ = (
-        "engine", "weights", "pool", "cache", "mode", "kind",
-        "u", "u_val", "target", "controls", "low", "below", "below_map",
-        "below_low", "op_id", "proj_id", "kernel", "cacheable",
+        "engine", "pool", "cache", "mode", "kind",
+        "u", "target", "controls", "low", "below", "below_map",
+        "below_low", "op_id", "proj_id", "kernel",
         "skipping", "high", "lines", "below_lines",
     )
 
@@ -1261,7 +997,6 @@ class PooledApplyKernel:
 
         engine = package._pooled
         self.engine = engine
-        self.weights = engine.weights
         self.mode = mode
         self.kind = VECTOR if mode == "v" else MATRIX
         self.pool = engine.vpool if mode == "v" else engine.mpool
@@ -1271,21 +1006,7 @@ class PooledApplyKernel:
             raise DDError(f"expected a 2x2 matrix, got shape {matrix.shape}")
         if mode == "mr":
             matrix = matrix.T
-        raw_values = tuple(complex(matrix[i, j]) for i in (0, 1) for j in (0, 1))
-        self.u_val = tuple(self._canonical_value(value) for value in raw_values)
-        exact = self.weights._exact
-        self.u = tuple(
-            0 if value == ComplexTable.ZERO else exact[value] for value in self.u_val
-        )
-        # Reusable across applications iff every matrix entry resolved at
-        # distance zero (canonically zero, or bit-identical to its
-        # representative): a later mint can then never change the
-        # canonicalization, so a fresh construction would be identical.
-        is_zero = self.weights.is_zero
-        self.cacheable = all(
-            is_zero(raw) or canonical == raw
-            for raw, canonical in zip(raw_values, self.u_val)
-        )
+        self.u = tuple(self._snap(matrix[i, j]) for i in (0, 1) for j in (0, 1))
         self.target = target
         self.controls = dict(controls)
         for line, bit in self.controls.items():
@@ -1310,28 +1031,22 @@ class PooledApplyKernel:
             getattr(package, "identity_skipping", False)
         )
         ctrl_key = tuple(sorted(self.controls.items()))
-        self.op_id = engine.gate_id(("apply", mode, self.u_val, target, ctrl_key))
+        self.op_id = engine.gate_id(("apply", mode, self.u, target, ctrl_key))
         self.proj_id = engine.gate_id(("proj", mode, self.below))
         if self.controls:
             self.kernel = "controlled"
-        elif self.u_val[1] == ComplexTable.ZERO and self.u_val[2] == ComplexTable.ZERO:
+        elif self.u[1] == ComplexTable.ZERO and self.u[2] == ComplexTable.ZERO:
             self.kernel = "diagonal"
-        elif self.u_val[0] == ComplexTable.ZERO and self.u_val[3] == ComplexTable.ZERO:
+        elif self.u[0] == ComplexTable.ZERO and self.u[3] == ComplexTable.ZERO:
             self.kernel = "antidiagonal"
         else:
             self.kernel = "generic"
 
-    def _canonical_value(self, value: complex) -> complex:
+    def _snap(self, value: complex) -> complex:
         value = complex(value)
-        if self.weights.is_zero(value):
+        if self.engine.weights.is_zero(value):
             return ComplexTable.ZERO
-        return self.weights.lookup(value)
-
-    def _canonical_index(self, value: complex) -> int:
-        value = complex(value)
-        if self.weights.is_zero(value):
-            return 0
-        return self.weights.lookup_index(value)
+        return value
 
     # -- entry -----------------------------------------------------------
     def run(self, root: Edge) -> Edge:
@@ -1344,29 +1059,27 @@ class PooledApplyKernel:
                 raise DDError("apply kernels need a matrix DD root")
             index = engine.node_index(node)
             entry = self.high if index < 0 else max(self.high, self.pool.var[index])
-            widx = self.weights.lookup_index(root.weight)
-            return engine.to_edge(
-                self.kind, engine.scale(self._rec_s(index, entry), widx)
-            )
-        expected = VectorNode if self.mode == "v" else MatrixNode
-        if node.is_terminal or not isinstance(node, expected):
-            kind = "vector" if self.mode == "v" else "matrix"
-            raise DDError(f"apply kernels need a non-trivial {kind} DD root")
-        if node.var < self.target or (self.controls and node.var < max(self.controls)):
-            raise DDError(
-                f"gate lines exceed the DD's qubit range (root level {node.var})"
-            )
-        engine = self.engine
-        index = engine.node_index(node)
-        widx = self.weights.lookup_index(root.weight)
-        return engine.to_edge(self.kind, engine.scale(self._rec(index), widx))
+            result = self._rec_s(index, entry)
+        else:
+            expected = VectorNode if self.mode == "v" else MatrixNode
+            if node.is_terminal or not isinstance(node, expected):
+                kind = "vector" if self.mode == "v" else "matrix"
+                raise DDError(f"apply kernels need a non-trivial {kind} DD root")
+            if node.var < self.target or (
+                self.controls and node.var < max(self.controls)
+            ):
+                raise DDError(
+                    f"gate lines exceed the DD's qubit range (root level {node.var})"
+                )
+            result = self._rec(engine.node_index(node))
+        return engine.to_edge(self.kind, engine.scale(result, root.weight))
 
     # -- recursion over untouched upper levels ---------------------------
-    def _rec(self, index: int) -> Tuple[int, int]:
+    def _rec(self, index: int) -> Tuple[int, complex]:
         if index < 0 or self.pool.var[index] < self.low:
             # Everything the gate touches lies above: the subtree (possibly
             # the terminal) is shared unchanged.
-            return (index, 1)
+            return (index, _ONE)
         key = (self.op_id, index)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1375,12 +1088,12 @@ class PooledApplyKernel:
             cache.insert(key, cached)
         return cached
 
-    def _rec_edge(self, edge: Tuple[int, int]) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _rec_edge(self, edge: Tuple[int, complex]) -> Tuple[int, complex]:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._rec(edge[0]), edge[1])
 
-    def _expand(self, index: int) -> Tuple[int, int]:
+    def _expand(self, index: int) -> Tuple[int, complex]:
         var = self.pool.var[index]
         pairs = self._pairs(index)
         if var == self.target:
@@ -1403,7 +1116,12 @@ class PooledApplyKernel:
         return self._make(var, new_pairs)
 
     # -- the target level -----------------------------------------------
-    def _apply_target(self, pair):
+    def _apply_target(self, pair, project=None):
+        """New successor pair at the target level.
+
+        ``project`` maps a successor onto the controls below the target
+        (``_proj_edge``, or ``_proj_s_edge`` in skipping mode).
+        """
         u00, u01, u10, u11 = self.u
         c0, c1 = pair
         engine = self.engine
@@ -1413,17 +1131,21 @@ class PooledApplyKernel:
             # Controls below the target: CU = I + P (U - I), with the
             # projector chain P applied to the subtrees first.
             add = engine.add
-            d00 = self._canonical_index(self.u_val[0] - 1.0)
-            d11 = self._canonical_index(self.u_val[3] - 1.0)
-            p0 = self._proj_edge(c0)
-            p1 = self._proj_edge(c1)
+            d00 = self._snap(u00 - 1.0)
+            d11 = self._snap(u11 - 1.0)
+            if project is None:
+                p0 = self._proj_edge(c0)
+                p1 = self._proj_edge(c1)
+            else:
+                p0 = project(c0, self.target - 1)
+                p1 = project(c1, self.target - 1)
             new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
             new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
             return (new0, new1)
-        if self.u_val[1] == ComplexTable.ZERO and self.u_val[2] == ComplexTable.ZERO:
+        if u01 == ComplexTable.ZERO and u10 == ComplexTable.ZERO:
             # Diagonal shortcut: only the edge weights change.
             return (scale(c0, u00), scale(c1, u11))
-        if self.u_val[0] == ComplexTable.ZERO and self.u_val[3] == ComplexTable.ZERO:
+        if u00 == ComplexTable.ZERO and u11 == ComplexTable.ZERO:
             # Anti-diagonal shortcut (X/Y): swap the successors.
             return (scale(c1, u01), scale(c0, u10))
         add = engine.add
@@ -1432,14 +1154,14 @@ class PooledApplyKernel:
         return (new0, new1)
 
     # -- projector chain for controls below the target -------------------
-    def _proj_edge(self, edge: Tuple[int, int]) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _proj_edge(self, edge: Tuple[int, complex]) -> Tuple[int, complex]:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._proj(edge[0]), edge[1])
 
-    def _proj(self, index: int) -> Tuple[int, int]:
+    def _proj(self, index: int) -> Tuple[int, complex]:
         if index < 0 or self.pool.var[index] < self.below_low:
-            return (index, 1)
+            return (index, _ONE)
         key = (self.proj_id, index)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1475,18 +1197,18 @@ class PooledApplyKernel:
             return self._pairs(index)
         # The node skips this level: virtually a diagonal (e, 0, 0, e),
         # identical under row ("ml") and column ("mr") grouping.
-        unit = (index, 1)
+        unit = (index, _ONE)
         return ((unit, ZERO_E), (ZERO_E, unit))
 
-    def _rec_s_edge(self, edge: Tuple[int, int], level: int) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _rec_s_edge(self, edge: Tuple[int, complex], level: int) -> Tuple[int, complex]:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._rec_s(edge[0], level), edge[1])
 
-    def _rec_s(self, index: int, level: int) -> Tuple[int, int]:
+    def _rec_s(self, index: int, level: int) -> Tuple[int, complex]:
         line = self._next_line(self.lines, level)
         if line is None:
-            return (index, 1)
+            return (index, _ONE)
         key = (self.op_id, index, line)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1504,7 +1226,9 @@ class PooledApplyKernel:
             virtual = index < 0 or var < line
             pairs = self._pairs_at(index, virtual)
             if line == self.target:
-                new_pairs = [self._apply_target_s(pair) for pair in pairs]
+                new_pairs = [
+                    self._apply_target(pair, self._proj_s_edge) for pair in pairs
+                ]
             else:
                 bit = self.controls[line]
                 new_pairs = []
@@ -1516,39 +1240,15 @@ class PooledApplyKernel:
         cache.insert(key, cached)
         return cached
 
-    def _apply_target_s(self, pair):
-        u00, u01, u10, u11 = self.u
-        c0, c1 = pair
-        engine = self.engine
-        scale = engine.scale
-        kind = self.kind
-        if self.below:
-            add = engine.add
-            d00 = self._canonical_index(self.u_val[0] - 1.0)
-            d11 = self._canonical_index(self.u_val[3] - 1.0)
-            p0 = self._proj_s_edge(c0, self.target - 1)
-            p1 = self._proj_s_edge(c1, self.target - 1)
-            new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
-            new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
-            return (new0, new1)
-        if self.u_val[1] == ComplexTable.ZERO and self.u_val[2] == ComplexTable.ZERO:
-            return (scale(c0, u00), scale(c1, u11))
-        if self.u_val[0] == ComplexTable.ZERO and self.u_val[3] == ComplexTable.ZERO:
-            return (scale(c1, u01), scale(c0, u10))
-        add = engine.add
-        new0 = add(kind, scale(c0, u00), scale(c1, u01))
-        new1 = add(kind, scale(c0, u10), scale(c1, u11))
-        return (new0, new1)
-
-    def _proj_s_edge(self, edge: Tuple[int, int], level: int) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _proj_s_edge(self, edge: Tuple[int, complex], level: int) -> Tuple[int, complex]:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._proj_s(edge[0], level), edge[1])
 
-    def _proj_s(self, index: int, level: int) -> Tuple[int, int]:
+    def _proj_s(self, index: int, level: int) -> Tuple[int, complex]:
         line = self._next_line(self.below_lines, level)
         if line is None:
-            return (index, 1)
+            return (index, _ONE)
         key = (self.proj_id, index, line)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1578,12 +1278,7 @@ class PooledApplyKernel:
     # -- mode-dependent successor layout ---------------------------------
     def _pairs(self, index: int):
         """Successors grouped into 2-vectors along the gate's active index."""
-        pool = self.pool
-        base = index * pool.arity
-        succ, wsucc = pool.succ, pool.wsucc
-        edges = [
-            (succ[base + k], wsucc[base + k]) for k in range(pool.arity)
-        ]
+        edges = self.engine.children(self.kind, index)
         if self.mode == "v":
             return (tuple(edges),)
         if self.mode == "ml":
@@ -1592,7 +1287,7 @@ class PooledApplyKernel:
         # "mr": column pairs per row i: (U_i0, U_i1).
         return ((edges[0], edges[1]), (edges[2], edges[3]))
 
-    def _make(self, var: int, new_pairs) -> Tuple[int, int]:
+    def _make(self, var: int, new_pairs) -> Tuple[int, complex]:
         if self.mode == "v":
             return self.engine.make_node(VECTOR, var, new_pairs[0])
         if self.mode == "ml":

@@ -141,7 +141,7 @@ def _swap_roots(package, level: int, edges: List[Edge]) -> List[Edge]:
     if level < 0:
         raise DDError("swap levels must be non-negative")
     memo: Dict = {}
-    out = [_swap_edge(package, level, edge, memo) for edge in edges]
+    out = [package._export(_swap_edge(package, level, edge, memo)) for edge in edges]
     package._ensure_order(level + 2)
     order = package._order
     order[level], order[level + 1] = order[level + 1], order[level]

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.dd.edge import Edge
-from repro.dd.node import Node
+from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.package import DDPackage
 from repro.errors import DDError, InvalidStateError
@@ -110,6 +110,59 @@ def qubit_probabilities(
     return 1.0 - p1, p1
 
 
+def _pooled_sampler(package: DDPackage, state: Edge):
+    """A one-shot sampler walking the pooled node arrays, or ``None``.
+
+    Only for pooled packages under the L2 scheme, where a node's |0>
+    probability is ``|w0|**2`` of its stored successor weight.  Each node's
+    probability is read once and memoized across shots; each level still
+    draws exactly one ``rng.random()``, so a seeded generator yields the
+    same outcomes as the node-view walk of :func:`sample`.
+    """
+    engine = package._pooled
+    node = state.node
+    if (
+        engine is None
+        or package.vector_scheme is not NormalizationScheme.L2
+        or getattr(node, "_engine", None) is not engine
+        or not isinstance(node, VectorNode)
+    ):
+        return None
+    pool = engine.vpool
+    succ, wsucc, level_of_node = pool.succ, pool.wsucc, pool.var
+    values = engine.weights._values
+    num_qubits = node.var + 1
+    # String position of the bit drawn at each level (big-endian by qubit).
+    position = [num_qubits - 1 - package.qubit_at(level) for level in range(num_qubits)]
+    root = node._index
+    # node index -> (p0, string position, |0> successor, |1> successor)
+    memo: Dict[int, Tuple[float, int, int, int]] = {}
+
+    def draw(rng: np.random.Generator) -> str:
+        bits = ["0"] * num_qubits
+        index = root
+        while index >= 0:
+            entry = memo.get(index)
+            if entry is None:
+                base = 2 * index
+                entry = (
+                    abs(values[wsucc[base]]) ** 2,
+                    position[level_of_node[index]],
+                    succ[base],
+                    succ[base + 1],
+                )
+                memo[index] = entry
+            p0, pos, zero, one = entry
+            if rng.random() < p0:
+                index = zero
+            else:
+                bits[pos] = "1"
+                index = one
+        return "".join(bits)
+
+    return draw
+
+
 def sample(
     package: DDPackage,
     state: Edge,
@@ -124,6 +177,9 @@ def sample(
         raise InvalidStateError("cannot sample from the zero vector")
     if rng is None:
         rng = np.random.default_rng()
+    draw = _pooled_sampler(package, state)
+    if draw is not None:
+        return draw(rng)
     local = package.vector_scheme is NormalizationScheme.L2
     cache: Dict[Node, float] = {}
     num_qubits = 0 if state.node.is_terminal else state.node.var + 1
@@ -156,9 +212,16 @@ def sample_counts(
         raise DDError("shots must be positive")
     if rng is None:
         rng = np.random.default_rng()
+    state = package._resolve(state)
+    if state.is_zero:
+        raise InvalidStateError("cannot sample from the zero vector")
+    draw = _pooled_sampler(package, state)
+    if draw is None:
+        def draw(rng):
+            return sample(package, state, rng)
     counts: Dict[str, int] = {}
     for _ in range(shots):
-        outcome = sample(package, state, rng)
+        outcome = draw(rng)
         counts[outcome] = counts.get(outcome, 0) + 1
     return counts
 

@@ -157,7 +157,9 @@ def dd_from_dict(package: DDPackage, data: dict) -> Edge:
         base = rebuilt.get(int(root_data["node"]))
     if base is None:
         raise DDError(f"root references unknown node {root_data['node']!r}")
-    return base.scaled(package.complex_table.lookup(weight), package.complex_table)
+    return package._export(
+        base.scaled(package.complex_table.lookup(weight), package.complex_table)
+    )
 
 
 def _edge_from(package: DDPackage, edge_data, rebuilt: Dict[int, Edge]) -> Edge:

@@ -231,8 +231,7 @@ class FaultInjector:
             )
         key = self.rng.choice(candidates)
         weight = key[1]
-        bucket = table._buckets[table._key(weight)]
-        bucket.remove(weight)
+        table._discard(weight)
         return {"fault": "orphan-root-weight", "root": key[0], "weight": repr(weight)}
 
     def unclamp_near_zero(self) -> Dict[str, Any]:
@@ -335,9 +334,7 @@ class FaultInjector:
         target = self.rng.choice(sorted(referenced))
         value = weights._values[target]
         del weights._exact[value]
-        bucket = weights._buckets.get(weights._key(value))
-        if bucket and value in bucket:
-            bucket.remove(value)
+        weights._discard(value)
         weights._values[target] = None
         weights._re[target] = float("nan")
         weights._im[target] = float("nan")

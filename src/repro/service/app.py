@@ -485,7 +485,10 @@ class ServiceApp:
         # instance answers 503 so traffic drains away from it.
         return Response.json(status=200 if healthy else 503, payload={
             "status": "ok" if healthy else "degraded",
-            "uptime_seconds": round(time.time() - self._started, 3),
+            # Whole seconds: a HEAD must advertise the length the adjacent
+            # GET sends, and a fractional uptime changed the body's length
+            # between two renders.
+            "uptime_seconds": int(time.time() - self._started),
             "sessions": len(self.store),
             "workers": self.pool.workers,
             "governance": {

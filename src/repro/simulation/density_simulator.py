@@ -122,10 +122,10 @@ class DensityMatrixSimulator:
         """The ensemble-averaged density matrix ``sum_b p_b rho_b``."""
         total = None
         for branch in self._branches:
-            weighted = branch.rho.scaled(
+            weighted = self.package._export(branch.rho.scaled(
                 self.package.complex_table.lookup(branch.probability),
                 self.package.complex_table,
-            )
+            ))
             total = weighted if total is None else self.package.add(total, weighted)
         return total
 

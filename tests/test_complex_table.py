@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE, phase_of
+from repro.dd.pool import WeightPool
 
 
 class TestLookup:
@@ -188,3 +190,36 @@ class TestPhaseOf:
     def test_range_half_open(self):
         angle = phase_of(complex(1.0, -1e-18))
         assert 0.0 <= angle < 2.0 * math.pi
+
+
+_LEN_VALUES = st.complex_numbers(
+    max_magnitude=4.0, allow_nan=False, allow_infinity=False
+)
+_LEN_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("lookup"), _LEN_VALUES),
+        st.tuples(st.just("sweep"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("factory", [ComplexTable, WeightPool])
+@settings(max_examples=60, deadline=None)
+@given(ops=_LEN_OPS)
+def test_len_equals_bucket_total(factory, ops):
+    """``len`` is a running count; it must match the buckets after any
+    sequence of inserts, sweeps and clears."""
+    table = factory()
+    stored = []
+    for op, arg in ops:
+        if op == "lookup":
+            stored.append(table.lookup(arg))
+        elif op == "sweep":
+            # Keep every (arg+1)-th value seen so far.
+            table.sweep(set(stored[:: arg + 1]))
+        else:
+            table.clear()
+            stored.clear()
+        assert len(table) == sum(len(b) for b in table._buckets.values())

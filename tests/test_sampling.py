@@ -177,3 +177,54 @@ class TestReset:
         )
         assert abs(probability - 0.64) < 1e-12
         assert np.allclose(package.to_vector(result, 2), [1, 0, 0, 0])
+
+
+class TestPooledSampler:
+    """The pooled L2 sampler walks the node arrays but must draw exactly
+    the outcomes of the node-view walk for a given seed."""
+
+    @staticmethod
+    def _blocked_pairs(storage):
+        # Partners three levels apart: sifting moves them next to each other.
+        package = DDPackage(storage=storage, reorder="manual")
+        state = package.zero_state(6)
+        for low, angle in ((0, 0.4), (1, 1.1), (2, 2.3)):
+            ry = np.array(
+                [[math.cos(angle / 2), -math.sin(angle / 2)],
+                 [math.sin(angle / 2), math.cos(angle / 2)]]
+            )
+            state = package.apply_single_qubit_gate(state, ry, low)
+            state = package.apply_controlled_gate(
+                state, np.array([[0, 1], [1, 0]]), low + 3, controls=[low]
+            )
+        return package, package.incref(state)
+
+    def _counts(self, storage, sift, seed):
+        package, state = self._blocked_pairs(storage)
+        if sift:
+            package.reorder()
+            assert package.qubit_order != list(range(6))
+        counts = sampling.sample_counts(
+            package, state, 512, np.random.default_rng(seed)
+        )
+        rng = np.random.default_rng(seed + 1)
+        shots = [sampling.sample(package, state, rng) for _ in range(16)]
+        return counts, shots
+
+    def test_pooled_package_uses_the_array_walk(self):
+        package, state = self._blocked_pairs("pooled")
+        assert sampling._pooled_sampler(package, state) is not None
+        package, state = self._blocked_pairs("object")
+        assert sampling._pooled_sampler(package, state) is None
+
+    @pytest.mark.parametrize("sift", [False, True])
+    def test_counts_equal_across_backends(self, sift):
+        for seed in (0, 1, 2):
+            pooled = self._counts("pooled", sift, seed)
+            assert pooled == self._counts("object", sift, seed)
+            counts, shots = pooled
+            assert sum(counts.values()) == 512
+            # Every pair stays correlated: q_k equals q_{k+3}.
+            for outcome in list(counts) + shots:
+                bits = outcome[::-1]  # bits[q] is qubit q
+                assert all(bits[k] == bits[k + 3] for k in range(3))
