@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import DDError
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -347,14 +348,19 @@ class ResourceGovernor:
         """Run one tiered collection; safe only between package operations.
 
         ``force`` runs the full HARD tier regardless of measured pressure
-        (used by service workers between jobs).
+        (used by service workers between jobs).  Raises :class:`DDError`
+        while the package is reordering.
         """
+        package = self.package
+        if package._in_reorder:
+            # A sift holds its in-flight diagrams as bare pool indices that
+            # no view pins: a sweep now would free live slots.
+            raise DDError("garbage collection is not allowed while a reorder runs")
         start = perf_counter()
         if level is None:
             level = PressureLevel.HARD if force else self.pressure()
         if force and level is not PressureLevel.HARD:
             level = PressureLevel.HARD
-        package = self.package
         stats = GcStats(
             level=level,
             nodes_before=self.node_count(),

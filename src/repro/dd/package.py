@@ -191,7 +191,11 @@ class DDPackage:
         # Reorder root-translation map: old root node -> current Edge.  Edges
         # handed out before a reorder stay resolvable through it (see
         # :meth:`_resolve`); composition keeps every entry one hop deep.
-        self._remap: Dict[object, Edge] = {}
+        # Keyed weakly: an entry dies with the last stale edge holding its
+        # old root, so a sift never pins the pre-reorder diagram.
+        self._remap: "weakref.WeakKeyDictionary[object, Edge]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._in_reorder = False
         self._reorder_pending = False
         self._reorder_cooldown = 0
@@ -1462,7 +1466,8 @@ class DDPackage:
 
         ``force=True`` runs the full HARD tier (clear compute tables, sweep
         the complex table) regardless of measured pressure.  Only safe
-        between operations — never call from inside a DD recursion.
+        between operations — never call from inside a DD recursion; raises
+        :class:`DDError` while a reorder is running.
         """
         return self.governor.collect(force=force)
 

@@ -2,146 +2,187 @@
 
 Decision diagrams are canonical — and compact — only *relative to a
 variable order* (paper Sec. III-C); a bad order costs up to ``2^(n/2)``
-nodes for states a good order represents linearly.  This module closes
-the engine's last static assumption (ROADMAP item #4): the level-to-qubit
-mapping becomes dynamic, optimized by *sifting* (Rudell 1993) built from
-adjacent-level swap primitives.
+nodes for states a good order represents linearly.  Here the
+level-to-qubit mapping is dynamic, optimized by *sifting* (Rudell 1993)
+built from adjacent-level swaps.
 
-Because package edges are immutable named tuples hash-consed in the
-unique tables, swaps are implemented as *rebuilds* rather than in-place
-successor surgery: swapping levels ``(l, l+1)`` rebuilds every live root
-through a memoized recursion that re-brackets the two-level window
+Nodes are hash-consed, so swapping levels ``(l, l+1)`` *rebuilds* every
+live root through a memoized recursion that re-brackets the window
 
     top(l+1) -> children c_k -> grandchildren g[k][m]
 
-into
-
-    top'(l+1) -> inner_m(l) -> g[k][m]
-
-(the entry at path ``(k, m)`` becomes the entry at path ``(m, k)``).
-Nodes strictly below the window are shared unchanged; nodes above are
-rebuilt with translated children.  Everything goes back through the
+into ``top'(l+1) -> inner_m(l) -> g[k][m]`` (path ``(k, m)`` becomes path
+``(m, k)``).  Nodes below the window are shared unchanged; nodes above it
+are rebuilt with translated children.  Everything goes back through the
 normalizing constructors, so the result is canonical under the new order
-by construction — and with identity skipping enabled, the reduction rule
-re-fires automatically on every rebuilt matrix node.
+— and with identity skipping, the reduction rule re-fires on every
+rebuilt matrix node.
 
-The package keeps a remap (old root node -> new edge) so edges handed
-out before a reorder keep working; every public ``DDPackage`` entry
-point funnels operands through it (``DDPackage._resolve``).
-
-Works identically over both storage backends: the recursion only uses
-``node.edges`` / ``node.var`` and the package's normalizing
-constructors, which the pooled backend exposes through its flyweight
-node views.
+The recursion, the per-swap node count and the level populations run on
+in-flight ``(handle, weight)`` pairs through a few per-backend primitives
+(``var_of``, ``children``, ``successors``, ``make``, ``scale``): on pooled
+storage a handle is a node-pool index read straight off the flat arrays,
+on object storage it is the node itself and a pair is an :class:`Edge`.
+Pairs become edges again only when the result is installed
+(:func:`_finish`); they pin nothing, so the package refuses a garbage
+collection while a reorder runs.  Edges handed out before a reorder keep
+working through the package's remap (``DDPackage._resolve``).
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge, ZERO_EDGE
 from repro.dd.node import MatrixNode
+from repro.dd.pooled import MATRIX, VECTOR, ZERO_E
 from repro.errors import DDError
 
 __all__ = ["swap_adjacent", "sift"]
 
-
-def _make_node(package, is_matrix: bool, var: int, children) -> Edge:
-    if is_matrix:
-        return package.make_matrix_node(var, children)
-    return package.make_vector_node(var, children)
+_ONE = ComplexTable.ONE
 
 
-def _swap_window(package, level: int, node) -> Edge:
-    """Re-bracket one node whose variable sits inside the swap window.
+class _ObjectLevels:
+    """Object primitives for one node kind: handle = node, pair = Edge."""
 
-    ``node.var`` is ``level + 1`` (the usual case) or ``level`` (identity
-    skipping only: the path skips ``level + 1``, so the top of the window
-    is a virtual identity).
-    """
-    table = package.complex_table
-    is_matrix = isinstance(node, MatrixNode)
-    arity = 4 if is_matrix else 2
-    if node.var == level + 1:
-        tops = node.edges
-    else:
-        if not (is_matrix and package.identity_skipping):
-            raise DDError(
-                f"cannot swap levels ({level}, {level + 1}): a root spans "
-                f"only {node.var + 1} levels (mixed-span roots are not "
-                "supported)"
-            )
-        unit = Edge(node, ComplexTable.ONE)
-        tops = (unit, ZERO_EDGE, ZERO_EDGE, unit)
-    rows: List[Tuple[Edge, ...]] = []
-    for child in tops:
-        if child.is_zero:
-            rows.append((ZERO_EDGE,) * arity)
-            continue
-        cnode = child.node
-        if cnode.is_terminal or cnode.var < level:
-            if not (is_matrix and package.identity_skipping):
-                raise DDError(
-                    f"level {level} is missing below a level-{level + 1} "
-                    "node (non-canonical diagram)"
-                )
-            # The child skips the lower window level: virtually diagonal.
-            row = [ZERO_EDGE] * arity
-            row[0] = child
-            row[arity - 1] = child
-            rows.append(tuple(row))
-        else:
-            rows.append(
-                tuple(
-                    ZERO_EDGE if gc.is_zero else gc.scaled(child.weight, table)
-                    for gc in cnode.edges
-                )
-            )
-    inner = tuple(
-        _make_node(
-            package, is_matrix, level, tuple(rows[k][m] for k in range(arity))
-        )
-        for m in range(arity)
+    zero, pair = ZERO_EDGE, Edge
+    var_of = staticmethod(lambda node: node.var)
+    children = staticmethod(lambda node: node.edges)
+    successors = staticmethod(
+        lambda node: [edge.node for edge in node.edges if edge.node.var >= 0]
     )
-    return _make_node(package, is_matrix, level + 1, inner)
+    handle = to_edge = staticmethod(lambda value: value)
+
+    def __init__(self, package, kind: int):
+        table = package.complex_table
+        self.arity = 4 if kind == MATRIX else 2
+        self.skipping = kind == MATRIX and package.identity_skipping
+        self.make = (
+            package.make_matrix_node if kind == MATRIX else package.make_vector_node
+        )
+        self.scale = lambda edge, factor: edge.scaled(factor, table)
 
 
-def _swap_edge(package, level: int, edge: Edge, memo: Dict) -> Edge:
-    if edge.is_zero:
-        return edge
-    node = edge.node
-    if node.is_terminal or node.var < level:
-        # Entirely below the window (or, with identity skipping, an
-        # identity across both window levels): shared unchanged.
-        return edge
-    res = memo.get(node)
-    if res is None:
-        if node.var > level + 1:
-            children = tuple(
-                _swap_edge(package, level, child, memo) for child in node.edges
-            )
-            res = _make_node(
-                package, isinstance(node, MatrixNode), node.var, children
-            )
+class _PooledLevels:
+    """Pooled primitives for one node kind: handle = node-pool index."""
+
+    zero = ZERO_E
+    pair = staticmethod(lambda index, weight: (index, weight))
+    handle = staticmethod(lambda view: view._index)
+
+    def __init__(self, package, kind: int):
+        engine = package._pooled
+        pool = engine.vpool if kind == VECTOR else engine.mpool
+        var, succ, arity = pool.var, pool.succ, pool.arity
+        self.arity = arity
+        self.skipping = kind == MATRIX and engine.identity_skipping
+        self.var_of = lambda index: var[index] if index >= 0 else -1
+        self.successors = lambda index: [
+            child for child in succ[index * arity : index * arity + arity] if child >= 0
+        ]
+        self.children = functools.partial(engine.children, kind)
+        self.make = functools.partial(engine.make_node, kind)
+        self.scale = engine.scale
+        self.to_edge = functools.partial(engine.to_edge, kind)
+
+
+def _live_roots(package) -> Tuple[List, List]:
+    """Deduplicated non-terminal governor root nodes, and their unit pairs
+    tagged with the primitives of their node kind."""
+    levels = _PooledLevels if package._pooled is not None else _ObjectLevels
+    by_kind = (levels(package, VECTOR), levels(package, MATRIX))
+    nodes, roots = [], []
+    seen = set()
+    for node, _weight in package.governor._live_roots():
+        if node.is_terminal or id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops = by_kind[MATRIX if isinstance(node, MatrixNode) else VECTOR]
+        nodes.append(node)
+        roots.append((ops, ops.pair(ops.handle(node), _ONE)))
+    return nodes, roots
+
+
+def _swapper(ops, level: int):
+    """Memoized swap of levels ``(level, level + 1)`` for one node kind's pairs."""
+    var_of, children, make, scale = ops.var_of, ops.children, ops.make, ops.scale
+    zero, arity = ops.zero, ops.arity
+    memo: Dict = {}
+
+    def window(handle, var: int):
+        # ``var`` is ``level + 1`` (the usual case) or ``level`` (identity
+        # skipping only: the path skips ``level + 1``, so the top of the
+        # window is a virtual identity).
+        if var == level + 1:
+            tops = children(handle)
+        elif ops.skipping:
+            unit = ops.pair(handle, _ONE)
+            tops = (unit, zero, zero, unit)
         else:
-            res = _swap_window(package, level, node)
-        memo[node] = res
-    if res.is_zero:
-        return ZERO_EDGE
-    return res.scaled(edge.weight, package.complex_table)
+            raise DDError(
+                f"cannot swap levels ({level}, {level + 1}): a root spans only "
+                f"{var + 1} levels (mixed-span roots are not supported)"
+            )
+        rows = []
+        for child in tops:
+            chandle, cweight = child
+            if not cweight:
+                rows.append((zero,) * arity)
+            elif var_of(chandle) >= level:
+                rows.append(
+                    [zero if not g[1] else scale(g, cweight) for g in children(chandle)]
+                )
+            elif ops.skipping:
+                # The child skips the lower window level: virtually diagonal.
+                rows.append((child, zero, zero, child))
+            else:
+                raise DDError(
+                    f"level {level} is missing below a level-{level + 1} node "
+                    "(non-canonical diagram)"
+                )
+        inner = [make(level, [row[m] for row in rows]) for m in range(arity)]
+        return make(level + 1, inner)
+
+    def swap(pair):
+        handle, weight = pair
+        if not weight:
+            return pair
+        var = var_of(handle)
+        if var < level:
+            # Entirely below the window (or, with identity skipping, an
+            # identity across both window levels): shared unchanged.
+            return pair
+        res = memo.get(handle)
+        if res is None:
+            if var > level + 1:
+                res = make(var, [swap(child) for child in children(handle)])
+            else:
+                res = window(handle, var)
+            memo[handle] = res
+        return zero if not res[1] else scale(res, weight)
+
+    return swap
 
 
-def _swap_roots(package, level: int, edges: List[Edge]) -> List[Edge]:
-    """Swap levels ``(level, level + 1)`` under every root in ``edges``.
-
-    Rebuilds the roots, swaps the package's order-map entries and bumps
-    the swap counter.  Returns the translated root edges.
-    """
+def _swap_roots(package, level: int, roots: List) -> List:
+    """Swap levels ``(level, level + 1)`` under every root pair: exports the
+    translated root weights through the complex table, swaps the order-map
+    entries and bumps the swap counter.  Returns the translated roots."""
     if level < 0:
         raise DDError("swap levels must be non-negative")
-    memo: Dict = {}
-    out = [package._export(_swap_edge(package, level, edge, memo)) for edge in edges]
+    lookup = package.complex_table.lookup
+    swaps: Dict = {}
+    out = []
+    for ops, pair in roots:
+        if ops not in swaps:
+            swaps[ops] = _swapper(ops, level)
+        handle, weight = swaps[ops](pair)
+        weight = lookup(weight)
+        out.append((ops, ops.zero if weight == 0 else ops.pair(handle, weight)))
     package._ensure_order(level + 2)
     order = package._order
     order[level], order[level + 1] = order[level + 1], order[level]
@@ -150,56 +191,35 @@ def _swap_roots(package, level: int, edges: List[Edge]) -> List[Edge]:
     return out
 
 
-def _live_root_nodes(package) -> List:
-    """Deduplicated non-terminal nodes registered as governor roots."""
-    nodes = []
-    seen = set()
-    for node, _weight in package.governor._live_roots():
-        if node.is_terminal or id(node) in seen:
+def _reachable(roots: List) -> Dict:
+    """Non-terminal handles reachable from the root pairs, per node kind."""
+    seen: Dict = {}
+    for ops, (handle, weight) in roots:
+        nodes = seen.setdefault(ops, set())
+        if not weight or handle in nodes or ops.var_of(handle) < 0:
             continue
-        seen.add(id(node))
-        nodes.append(node)
-    return nodes
+        nodes.add(handle)
+        stack = [handle]
+        while stack:
+            for child in ops.successors(stack.pop()):
+                if child not in nodes:
+                    nodes.add(child)
+                    stack.append(child)
+    return seen
 
 
-def _reachable_count(edges: List[Edge]) -> int:
-    """Non-terminal nodes reachable from all roots together (shared)."""
-    seen = set()
-    stack = [edge.node for edge in edges if not edge.is_zero]
-    while stack:
-        node = stack.pop()
-        if node.is_terminal or node in seen:
-            continue
-        seen.add(node)
-        for child in node.edges:
-            if not child.is_zero:
-                stack.append(child.node)
-    return len(seen)
+def _count(roots: List) -> int:
+    """Live nodes under all roots together (shared nodes count once)."""
+    return sum(len(nodes) for nodes in _reachable(roots).values())
 
 
-def _level_sizes(edges: List[Edge]) -> Dict[int, int]:
-    sizes: Dict[int, int] = {}
-    seen = set()
-    stack = [edge.node for edge in edges if not edge.is_zero]
-    while stack:
-        node = stack.pop()
-        if node.is_terminal or node in seen:
-            continue
-        seen.add(node)
-        sizes[node.var] = sizes.get(node.var, 0) + 1
-        for child in node.edges:
-            if not child.is_zero:
-                stack.append(child.node)
-    return sizes
-
-
-def _finish(package, root_nodes, finals: List[Edge]) -> None:
+def _finish(package, root_nodes, roots: List) -> None:
     """Install the root translation map and rebuild the governor roots."""
     mapping = {}
-    for orig, final in zip(root_nodes, finals):
-        if final.node is orig and final.weight == ComplexTable.ONE:
-            continue
-        mapping[orig] = final
+    for orig, (ops, pair) in zip(root_nodes, roots):
+        final = ops.to_edge(pair)
+        if final.node is not orig or final.weight != _ONE:
+            mapping[orig] = final
     package._apply_reorder_remap(mapping)
 
 
@@ -210,17 +230,13 @@ def swap_adjacent(package, level: int) -> None:
     experiments.  Statevector-preserving: only the level-to-qubit map and
     the diagram structure change, never the represented amplitudes.
     """
-    root_nodes = _live_root_nodes(package)
+    root_nodes, roots = _live_roots(package)
     # Retire the old roots from the unique tables before rebuilding: the
     # rebuild (and every later operation) must cons *fresh* nodes, never
     # resurrect a stale one, or the remap would alias two meanings onto a
     # single node object and mis-translate current edges.
-    package._retire_stale_roots(
-        [node for node in root_nodes if node.var >= level]
-    )
-    edges = [Edge(node, ComplexTable.ONE) for node in root_nodes]
-    finals = _swap_roots(package, level, edges)
-    _finish(package, root_nodes, finals)
+    package._retire_stale_roots([node for node in root_nodes if node.var >= level])
+    _finish(package, root_nodes, _swap_roots(package, level, roots))
     cache = getattr(package, "_gate_dd_cache", None)
     if cache:
         cache.clear()
@@ -236,19 +252,12 @@ def sift(package, max_growth: float = 2.0) -> Dict:
     direction once the diagram exceeds that multiple of the best size
     seen for the current variable.
     """
-    root_nodes = _live_root_nodes(package)
-    current = [Edge(node, ComplexTable.ONE) for node in root_nodes]
-    before = _reachable_count(current)
-    summary = {
-        "strategy": "sifting",
-        "swaps": 0,
-        "nodes_before": before,
-        "nodes_after": before,
-        "order": package.qubit_order,
-    }
-    if not current:
-        return summary
-    n = max(edge.node.var for edge in current) + 1
+    root_nodes, current = _live_roots(package)
+    reachable = _reachable(current)
+    before = sum(len(nodes) for nodes in reachable.values())
+    summary = {"strategy": "sifting", "swaps": 0, "nodes_before": before,
+               "nodes_after": before, "order": package.qubit_order}
+    n = max((node.var for node in root_nodes), default=0) + 1
     if n < 2:
         return summary
     package._ensure_order(n)
@@ -257,43 +266,34 @@ def sift(package, max_growth: float = 2.0) -> Dict:
     # must leave the unique tables before the first swap conses anything.
     package._retire_stale_roots(root_nodes)
 
-    def move(swap_level: int) -> None:
-        current[:] = _swap_roots(package, swap_level, current)
+    def shift(pos: int, step: int) -> int:
+        """Move the variable at ``pos`` one level by ``step`` (+1 or -1)."""
+        current[:] = _swap_roots(package, min(pos, pos + step), current)
+        return pos + step
 
-    sizes = _level_sizes(current)
-    by_population = sorted(range(n), key=lambda lvl: (-sizes.get(lvl, 0), lvl))
-    qubits = [package.qubit_at(lvl) for lvl in by_population]
-    for qubit in qubits:
-        pos = package.level_of(qubit)
-        best_pos = pos
-        best_count = _reachable_count(current)
-        # Sweep down to level 0 ...
-        while pos > 0:
-            move(pos - 1)
-            pos -= 1
-            count = _reachable_count(current)
-            if count < best_count:
-                best_count, best_pos = count, pos
-            if count > max_growth * best_count:
-                break
-        # ... then up to the top ...
-        while pos < n - 1:
-            move(pos)
-            pos += 1
-            count = _reachable_count(current)
-            if count < best_count:
-                best_count, best_pos = count, pos
-            if count > max_growth * best_count:
-                break
+    sizes = Counter(ops.var_of(h) for ops, nodes in reachable.items() for h in nodes)
+    by_population = sorted(range(n), key=lambda lvl: (-sizes[lvl], lvl))
+    # Each variable starts from the count at the position the previous one
+    # settled at (the diagram is canonical for the order, so no re-walk).
+    settled = before
+    for qubit in [package.qubit_at(lvl) for lvl in by_population]:
+        pos = best_pos = package.level_of(qubit)
+        best_count = settled
+        # Sweep down to level 0, then up to the top ...
+        for step, stop in ((-1, 0), (1, n - 1)):
+            while pos != stop:
+                pos = shift(pos, step)
+                count = _count(current)
+                if count < best_count:
+                    best_count, best_pos = count, pos
+                if count > max_growth * best_count:
+                    break
         # ... and settle at the best position seen.
-        while pos > best_pos:
-            move(pos - 1)
-            pos -= 1
-        while pos < best_pos:
-            move(pos)
-            pos += 1
+        while pos != best_pos:
+            pos = shift(pos, 1 if best_pos > pos else -1)
+        settled = best_count
     _finish(package, root_nodes, current)
     summary["swaps"] = package._reorder_swaps - swaps_before
-    summary["nodes_after"] = _reachable_count(current)
+    summary["nodes_after"] = _count(current)
     summary["order"] = package.qubit_order
     return summary
