@@ -7,21 +7,25 @@ bit-for-bit through the order-aware ``to_vector``, and must leave the
 package in a state the full :class:`~repro.sanitizer.core.DDSanitizer`
 sweep certifies clean.  Sifting additionally never increases the live
 node count and is idempotent once it has settled at a local minimum.
+Around the sift, the package must not pin stale diagrams (the root remap
+is keyed weakly) and must refuse a garbage collection while the sift
+holds unpinned pool indices.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
 
 from repro.dd.package import DDPackage
 from repro.dd.reorder import swap_adjacent
+from repro.errors import DDError
 from repro.qc import QuantumCircuit
 from repro.qc.library import random_circuit
 from repro.sanitizer.core import sanitize_package
 from repro.simulation.simulator import DDSimulator
-
-STORAGES = ("pooled", "object")
 
 #: Exact-preservation bound: a reorder goes through the same normalizing
 #: constructors and canonical weight table as the original build, so the
@@ -29,14 +33,25 @@ STORAGES = ("pooled", "object")
 EXACT = 1e-12
 
 
-def _random_state_package(storage: str, num_qubits: int, seed: int):
+def _random_state_package(num_qubits: int, seed: int):
     """A package holding one random (dense) state rooted via incref."""
     rng = np.random.default_rng(seed)
     vector = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     vector /= np.linalg.norm(vector)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     state = package.incref(package.from_state_vector(vector))
     return package, state, vector
+
+
+def _blocked_bell(num_qubits: int) -> QuantumCircuit:
+    """Bell pairs between qubits n/2 apart: exponential under the static
+    order, linear once sifting moves partners adjacent."""
+    circuit = QuantumCircuit(num_qubits)
+    half = num_qubits // 2
+    for index in range(half):
+        circuit.h(index + half)
+        circuit.cx(index + half, index)
+    return circuit
 
 
 def _assert_clean(package, label: str) -> None:
@@ -44,11 +59,10 @@ def _assert_clean(package, label: str) -> None:
     assert not report.violations, f"{label}: sanitizer found {report.violations}"
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(5))
-def test_every_adjacent_swap_preserves_the_statevector(storage, seed):
+def test_every_adjacent_swap_preserves_the_statevector(seed):
     num_qubits = 4
-    package, state, vector = _random_state_package(storage, num_qubits, seed)
+    package, state, vector = _random_state_package(num_qubits, seed)
     # Walk a pseudo-random sequence of adjacent swaps; after each one the
     # order-aware readout must still produce the original amplitudes and
     # the full sanitizer sweep must pass (order map, normalization,
@@ -67,9 +81,8 @@ def test_every_adjacent_swap_preserves_the_statevector(storage, seed):
     assert sorted(package.qubit_order) == list(range(num_qubits))
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_swap_adjacent_is_its_own_inverse(storage):
-    package, state, vector = _random_state_package(storage, 3, seed=7)
+def test_swap_adjacent_is_its_own_inverse():
+    package, state, vector = _random_state_package(3, seed=7)
     order_before = package.qubit_order or [0, 1, 2]
     swap_adjacent(package, 1)
     swap_adjacent(package, 1)
@@ -78,11 +91,10 @@ def test_swap_adjacent_is_its_own_inverse(storage):
     assert np.abs(package.to_vector(state, 3) - vector).max() < EXACT
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(8))
-def test_sift_preserves_the_statevector_and_sanity(storage, seed):
+def test_sift_preserves_the_statevector_and_sanity(seed):
     circuit = random_circuit(4, 16, seed=seed)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     simulator = DDSimulator(circuit, package=package)
     simulator.run_all()
     before = simulator.statevector()
@@ -94,32 +106,22 @@ def test_sift_preserves_the_statevector_and_sanity(storage, seed):
     _assert_clean(package, f"after sift (seed {seed})")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(8))
-def test_sift_never_increases_the_node_count(storage, seed):
+def test_sift_never_increases_the_node_count(seed):
     circuit = random_circuit(5, 20, seed=100 + seed)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     simulator = DDSimulator(circuit, package=package)
     simulator.run_all()
     summary = package.reorder()
     assert summary["nodes_after"] <= summary["nodes_before"], summary
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_sifting_is_idempotent_at_a_local_minimum(storage):
-    # Blocked bell pairs: partners n/2 apart, exponential under the static
-    # order, linear once sifting moves partners adjacent.  After the first
-    # sift the diagram sits at a local minimum, so a second sift must keep
-    # both the order and the node count (ties settle at the original
-    # position by construction).
-    num_qubits = 6
-    circuit = QuantumCircuit(num_qubits)
-    half = num_qubits // 2
-    for index in range(half):
-        circuit.h(index + half)
-        circuit.cx(index + half, index)
-    package = DDPackage(storage=storage, reorder="manual")
-    simulator = DDSimulator(circuit, package=package)
+def test_sifting_is_idempotent_at_a_local_minimum():
+    # After the first sift the blocked bell pairs sit at a local minimum,
+    # so a second sift must keep both the order and the node count (ties
+    # settle at the original position by construction).
+    package = DDPackage(reorder="manual")
+    simulator = DDSimulator(_blocked_bell(6), package=package)
     simulator.run_all()
     reference = simulator.statevector()
 
@@ -136,13 +138,12 @@ def test_sifting_is_idempotent_at_a_local_minimum(storage):
     _assert_clean(package, "after repeated sifts")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_sift_preserves_matrix_roots_under_identity_skipping(storage):
+def test_sift_preserves_matrix_roots_under_identity_skipping():
     # A controlled gate rooted in a skipping package: the sift's virtual
     # identity tops and diagonal rows must reproduce the same operator.
     num_qubits = 3
     package = DDPackage(
-        storage=storage, reorder="manual", identity_skipping=True,
+        reorder="manual", identity_skipping=True,
         use_apply_kernels=False,
     )
     gate = package.incref(
@@ -156,24 +157,23 @@ def test_sift_preserves_matrix_roots_under_identity_skipping(storage):
     _assert_clean(package, "after sifting a skipping matrix root")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_fresh_package_load_adopts_a_reordered_document(storage):
+def test_fresh_package_load_adopts_a_reordered_document():
     # A document serialized under a sifted order loads into a *fresh*
     # package (which adopts the order), but a package already holding a
     # live root under a different order must refuse it.
     from repro.dd import serialize
 
-    package, state, vector = _random_state_package(storage, 3, seed=11)
+    package, state, vector = _random_state_package(3, seed=11)
     swap_adjacent(package, 0)
     swap_adjacent(package, 1)
     data = serialize.dd_to_dict(package, package._resolve(state), 3)
 
-    fresh = DDPackage(storage=storage)
+    fresh = DDPackage()
     loaded = fresh.incref(serialize.dd_from_dict(fresh, data))
     assert fresh.qubit_order == package.qubit_order
     assert np.abs(fresh.to_vector(loaded, 3) - vector).max() < EXACT
 
-    busy = DDPackage(storage=storage)
+    busy = DDPackage()
     # The binding matters: roots are tracked weakly, so an unreferenced
     # edge dies immediately and the package would count as fresh again.
     keep = busy.incref(busy.from_state_vector(np.array([1.0, 0.0])))
@@ -182,14 +182,13 @@ def test_fresh_package_load_adopts_a_reordered_document(storage):
     assert keep is not None
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_stale_edges_resolve_after_multiple_reorders(storage):
+def test_stale_edges_resolve_after_multiple_reorders():
     # Edges captured before any reorder keep reading back correctly after
     # several reorders — including when a rebuilt diagram collides with
     # another stale root (two states that are qubit-permutations of each
     # other, the regression behind the unique-table retirement).
     num_qubits = 2
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     rng = np.random.default_rng(42)
     vector = rng.normal(size=4) + 1j * rng.normal(size=4)
     vector /= np.linalg.norm(vector)
@@ -205,3 +204,47 @@ def test_stale_edges_resolve_after_multiple_reorders(storage):
         assert np.abs(package.to_vector(state_a, 2) - vector).max() < EXACT
         assert np.abs(package.to_vector(state_b, 2) - swapped).max() < EXACT
         _assert_clean(package, "after colliding swap")
+
+
+def test_reorder_remap_does_not_pin_stale_diagrams():
+    # Each round roots a fresh dense state, sifts it and releases it.  The
+    # remap entry for the stale root must die with the last stale edge, so
+    # nothing of the twenty pre-reorder diagrams survives a forced GC.
+    package = DDPackage(reorder="manual")
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vector = rng.normal(size=256) + 1j * rng.normal(size=256)
+        vector /= np.linalg.norm(vector)
+        edge = package.incref(package.from_state_vector(vector))
+        package.reorder()
+        package.decref(edge)
+        del edge
+    gc.collect()
+    package.gc(force=True)
+    assert len(package._remap) == 0
+    assert package.governor.node_count() == 0
+
+
+def test_collection_is_refused_while_a_sift_runs(monkeypatch):
+    package = DDPackage(reorder="manual")
+    simulator = DDSimulator(_blocked_bell(6), package=package)
+    simulator.run_all()
+    state = package.incref(simulator.state)
+    simulator.close()  # the final state is the only root
+    reference = package.to_vector(state, 6)
+    refresh = package._refresh_order_identity
+    attempts = []
+
+    def collect_mid_sift():
+        refresh()
+        with pytest.raises(DDError, match="reorder"):
+            package.gc(force=True)
+        attempts.append(True)
+
+    monkeypatch.setattr(package, "_refresh_order_identity", collect_mid_sift)
+    package.reorder()
+    monkeypatch.undo()
+    assert attempts, "the sift never swapped"
+    assert not package._in_reorder
+    package.gc(force=True)  # allowed again between operations
+    assert np.abs(package.to_vector(state, 6) - reference).max() < 1e-12

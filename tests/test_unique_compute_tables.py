@@ -1,51 +1,66 @@
 """Unit tests for hash-consing and memoization tables."""
 
-import gc
+import itertools
 
 import pytest
 
 from repro.dd.compute_table import ComputeTable
-from repro.dd.edge import Edge, ONE_EDGE, ZERO_EDGE
-from repro.dd.node import VectorNode
-from repro.dd.unique_table import UniqueTable
+from repro.dd.pool import NodePool, PooledUniqueTable, TERMINAL_INDEX, WeightPool
+
+#: Successor/weight-index pairs of a vector node: (|0> -> zero, |1> -> one)
+#: and (|0> -> one, |1> -> one), in pool terms.
+_ZERO_ONE = ((TERMINAL_INDEX, TERMINAL_INDEX), (0, WeightPool.ONE_INDEX))
+_ONE_ONE = ((TERMINAL_INDEX, TERMINAL_INDEX), (WeightPool.ONE_INDEX,) * 2)
+
+
+class _Consing:
+    """A vector node pool behind its open-addressed unique table."""
+
+    def __init__(self):
+        self.table = PooledUniqueTable(NodePool(2))
+        self._uids = itertools.count(1)
+
+    def get_or_create(self, var, key):
+        successors, weights = key
+        slot, found = self.table.find_slot(var, successors, weights)
+        if found >= 0:
+            self.table.hits += 1
+            return found
+        self.table.misses += 1
+        index = self.table.pool.alloc(var, successors, weights, next(self._uids))
+        self.table.insert_at(slot, index)
+        return index
 
 
 class TestUniqueTable:
     def test_identical_structure_shares_node(self):
-        table = UniqueTable(VectorNode)
-        a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        b = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        assert a is b
-        assert table.hits == 1
-        assert table.misses == 1
+        consing = _Consing()
+        a = consing.get_or_create(0, _ZERO_ONE)
+        b = consing.get_or_create(0, _ZERO_ONE)
+        assert a == b
+        assert consing.table.hits == 1
+        assert consing.table.misses == 1
 
     def test_different_levels_are_distinct(self):
-        table = UniqueTable(VectorNode)
-        a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        b = table.get_or_create(1, (ZERO_EDGE, ONE_EDGE))
-        assert a is not b
+        consing = _Consing()
+        a = consing.get_or_create(0, _ZERO_ONE)
+        b = consing.get_or_create(1, _ZERO_ONE)
+        assert a != b
 
     def test_different_weights_are_distinct(self):
-        table = UniqueTable(VectorNode)
-        a = table.get_or_create(0, (ONE_EDGE, ZERO_EDGE))
-        b = table.get_or_create(0, (ONE_EDGE, ONE_EDGE))
-        assert a is not b
-
-    def test_weak_references_allow_collection(self):
-        table = UniqueTable(VectorNode)
-        node = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        assert len(table) == 1
-        del node
-        gc.collect()
-        assert len(table) == 0
+        consing = _Consing()
+        a = consing.get_or_create(0, _ZERO_ONE)
+        b = consing.get_or_create(0, _ONE_ONE)
+        assert a != b
 
     def test_clear(self):
-        table = UniqueTable(VectorNode)
-        keep = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        table.clear()
-        assert len(table) == 0
-        again = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        assert again is not keep  # fresh node after clear
+        consing = _Consing()
+        keep = consing.get_or_create(0, _ZERO_ONE)
+        consing.table.clear()
+        assert len(consing.table) == 0
+        again = consing.get_or_create(0, _ZERO_ONE)
+        assert again != keep  # fresh node after clear
+        assert consing.table.misses == 1
 
 
 class TestComputeTable:
