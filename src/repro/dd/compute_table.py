@@ -99,9 +99,7 @@ class ComputeTable:
 
         Dict insertion order approximates LRU-by-insertion: the oldest
         entries are the least likely to be hit again.  Used by the resource
-        governor's SOFT pressure tier, where dropping cached results also
-        releases the strong node references that pin otherwise dead
-        diagrams in the weak unique tables.  Like :meth:`clear`, a shrink
+        governor's SOFT pressure tier.  Like :meth:`clear`, a shrink
         that actually drops entries resets the hit/miss statistics so the
         reported ratio describes the surviving table.
         """

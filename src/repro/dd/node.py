@@ -6,9 +6,10 @@ corresponding to the four equally-sized sub-matrices ``U_ij`` (paper Sec.
 III-A): edge ``2*i + j`` describes how the rest of the system is transformed
 given that ``q_var`` is mapped from ``|j>`` to ``|i>``.
 
-Nodes are hash-consed through :class:`repro.dd.unique_table.UniqueTable`;
+Nodes are hash-consed by the engine's unique tables (:mod:`repro.dd.pooled`
+hands out :class:`VectorNode`/:class:`MatrixNode` views of its pool slots);
 therefore node *identity* implies structural equality and nodes use the
-default identity hash.  Both node classes are immutable after construction.
+default identity hash.
 
 The unique terminal node :data:`TERMINAL` sits below level 0 (``var == -1``)
 and carries no successors.  Following the paper, the terminal is *not*

@@ -7,11 +7,7 @@ kernels) pass in-flight ``(node_index, weight)`` pairs and never allocate
 node or edge objects.  In-flight weights are raw ``complex`` values: the
 weight pool is consulted only when a node is normalized (its factor and
 successor weights, stored as indices in ``NodePool.wsucc``) and when a root
-edge leaves the engine (:meth:`PooledEngine.to_edge`).  Each operation
-mirrors its object-backend counterpart *line by line* — same arithmetic,
-same operand ordering, same complex-table lookup sequence — so both
-backends produce byte-for-byte identical canonical weights and isomorphic
-diagrams (the differential suite's contract).
+edge leaves the engine (:meth:`PooledEngine.to_edge`).
 
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
@@ -19,8 +15,7 @@ At the package boundary the engine hands out lightweight *views*
 materialized lazily from the pool arrays.  Views keep ``isinstance`` checks,
 serialization, visualization and the sanitizer working unchanged, and they
 double as GC roots: a diagram is live exactly while some view of it is
-reachable from Python (mirroring the object backend's weak-table semantics,
-where ordinary references govern liveness).
+reachable from Python, so ordinary references govern liveness.
 
 Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 
@@ -92,8 +87,7 @@ class _PooledViewMixin:
     that builds the successor tuple from the pool arrays on demand.  The
     ``edges`` *setter* stores an override used by fault injection to model
     post-consing mutation; the sanitizer compares the override against the
-    pool-derived signature, exactly as the object backend compares a mutated
-    node against its stored table key.
+    pool-derived signature.
     """
 
     __slots__ = ()
@@ -146,12 +140,11 @@ class PooledMatrixNode(_PooledViewMixin, MatrixNode):
 # unique-table adapter
 # ----------------------------------------------------------------------
 class PooledUniqueAdapter:
-    """Object-API facade over one pooled unique table.
+    """Node-view facade over one pooled unique table.
 
-    Exposes the :class:`~repro.dd.unique_table.UniqueTable` surface the
-    rest of the package relies on — ``len``, ``hits``/``misses``,
-    ``live_nodes``, ``audit_entries``, ``get_or_create`` — backed by the
-    open-addressed table and the node pool.  ``audit_entries`` rebuilds the
+    Exposes the surface the rest of the package relies on — ``len``,
+    ``hits``/``misses``, ``audit_entries``, ``get_or_create`` — backed by
+    the open-addressed table and the node pool.  ``audit_entries`` rebuilds the
     stored signature from the *pool arrays* while the paired view reports
     its (possibly fault-overridden) ``edges``, so the sanitizer's
     ``unique-key`` comparison retains its mutation-detection power.
@@ -205,11 +198,6 @@ class PooledUniqueAdapter:
     def __len__(self) -> int:
         return len(self._raw)
 
-    def live_nodes(self):
-        engine = self._engine
-        kind = self._kindbit
-        return iter([engine.view(kind, index) for index in self._pool.live_indices()])
-
     def audit_entries(self) -> list:
         engine = self._engine
         kind = self._kindbit
@@ -262,9 +250,9 @@ class PooledEngine:
     """Index-based DD operations over pooled storage.
 
     Owns the node pools, the open-addressed unique tables and the view
-    caches; shares the package's :class:`WeightPool` and compute tables so
-    statistics, governance accounting and cache eviction behave identically
-    to the object backend.
+    caches; shares the package's :class:`WeightPool` and compute tables, so
+    the package's statistics and the governor's accounting and eviction
+    see them.
     """
 
     def __init__(
@@ -379,8 +367,8 @@ class PooledEngine:
         while stack:
             base = pop() * arity
             for k in range(base, base + arity):
-                # Mirror the object walk: any stored successor counts,
-                # even under a (theoretical) zero weight.
+                # Any stored successor counts, even under a (theoretical)
+                # zero weight.
                 child = succ[k]
                 if child >= 0 and child not in seen:
                     seen.add(child)
@@ -423,10 +411,9 @@ class PooledEngine:
     ) -> Tuple[int, complex]:
         """Normalize + cons from in-flight pairs; returns ``(index, factor)``.
 
-        Inlines :func:`~repro.dd.normalization.normalize` — the identical
-        floating-point operations and complex-table lookups in the
-        identical order — so both backends mint the same canonical
-        weights.  The returned factor is canonical; the normalized
+        Applies the rules of :class:`~repro.dd.normalization.NormalizationScheme`
+        (sub-tolerance weights become zero stubs, non-finite ones are
+        rejected).  The returned factor is canonical; the normalized
         successor weights are stored as weight-pool indices.
         """
         weights = self.weights
@@ -438,15 +425,14 @@ class PooledEngine:
             a1 = abs(w1)
             if not (a0 < _INF and a1 < _INF):
                 _reject_nonfinite(edges)
-            # _clean_edges: sub-tolerance weights become zero stubs.
+            # Sub-tolerance weights become zero stubs.
             if w0 and abs(w0.real) < tolerance and abs(w0.imag) < tolerance:
                 w0, a0 = 0j, 0.0
             if w1 and abs(w1.real) < tolerance and abs(w1.imag) < tolerance:
                 w1, a1 = 0j, 0.0
             if not w0 and not w1:
                 return ZERO_E
-            # sum() over the cleaned pair, starting from 0 like normalize.
-            norm = math.sqrt(0 + a0 ** 2 + a1 ** 2)
+            norm = math.sqrt(a0 ** 2 + a1 ** 2)
             factor = weights.lookup(cmath.rect(norm, cmath.phase(w0 if w0 else w1)))
             if w0:
                 # Exactly real and non-negative by construction.
@@ -471,15 +457,16 @@ class PooledEngine:
                     values.append(weight)
                     magnitudes.append(magnitude)
                     continue
-            # _clean_edges: a sub-tolerance weight becomes a zero stub.
+            # A sub-tolerance weight becomes a zero stub.
             successors.append(TERMINAL_INDEX)
             values.append(0j)
             magnitudes.append(0.0)
         maximum = max(magnitudes)
         if maximum == 0.0:
             return ZERO_E
-        # Tolerance-aware pivot (see _normalize_max): the first weight whose
-        # magnitude ties with the maximum.
+        # Tolerance-aware pivot: the first weight whose magnitude ties with
+        # the maximum.  A plain argmax would let ~1e-16 rounding noise pick
+        # different pivots for equal diagrams, breaking canonicity.
         threshold = maximum - tolerance
         pivot = 0
         while magnitudes[pivot] < threshold:
@@ -521,7 +508,7 @@ class PooledEngine:
         return self.to_edge(kind, self.make_node(kind, var, converted))
 
     # ------------------------------------------------------------------
-    # arithmetic (in-flight pairs; each mirrors the object backend)
+    # arithmetic (in-flight pairs)
     # ------------------------------------------------------------------
     def add(
         self, kind: int, left: Tuple[int, complex], right: Tuple[int, complex]
@@ -547,8 +534,8 @@ class PooledEngine:
             raise DimensionMismatchError(
                 f"cannot add DDs at levels {lvar} and {rvar}"
             )
-        # Addition is commutative: order operands for better cache reuse
-        # (creation-order stamps mirror the object backend's uid ordering).
+        # Addition is commutative: order operands by creation stamp for
+        # better cache reuse.
         order = pool.order
         if order[rn] < order[ln]:
             ln, lw, rn, rw = rn, rw, ln, lw
@@ -969,13 +956,23 @@ class PooledEngine:
 # direct gate application on pooled storage
 # ----------------------------------------------------------------------
 class PooledApplyKernel:
-    """Index-level mirror of :class:`repro.dd.apply._ApplyKernel`.
+    """One prepared gate application: a 2x2 unitary at ``target`` with
+    control lines, specialized to a DD mode.
 
-    Same recursion, same shortcuts (diagonal / antidiagonal / controlled /
-    projector chain), same arithmetic on the same values — but operating
-    on in-flight ``(node_index, weight)`` pairs, with the apply-cache keyed
-    ``(interned gate id, node index)`` so repeated gates hash two small
-    integers instead of a nested unitary tuple.
+    ``mode`` selects how node successors are traversed:
+
+    * ``"v"``  — vector nodes, successors indexed by the qubit value;
+    * ``"ml"`` — matrix nodes, the gate multiplies from the *left* (acts
+      on the row index ``i`` of successor ``2*i + j``);
+    * ``"mr"`` — matrix nodes, the gate multiplies from the *right* (acts
+      on the column index ``j``; realized by transposing the unitary and
+      reusing the row recursion on column-grouped successors).
+
+    The recursion runs on in-flight ``(node_index, weight)`` pairs with
+    the shortcuts of :mod:`repro.dd.apply` (diagonal / antidiagonal /
+    controlled / projector chain); the apply cache is keyed ``(interned
+    gate id, node index)`` so repeated gates hash two small integers
+    instead of a nested unitary tuple.
     """
 
     __slots__ = (
@@ -1024,8 +1021,8 @@ class PooledApplyKernel:
         self.below_map = dict(self.below)
         self.below_low = self.below[0][0] if self.below else target
         self.below_lines = tuple(sorted(self.below_map, reverse=True))
-        # Identity-skipping matrix DDs may skip gate lines; `_rec_s` mirrors
-        # the object kernel's level-tracking recursion (vector DDs stay
+        # Identity-skipping matrix DDs may skip gate lines; `_rec_s` tracks
+        # levels and materializes skipped ones on demand (vector DDs stay
         # dense, so mode "v" keeps the fast path).
         self.skipping = mode != "v" and bool(
             getattr(package, "identity_skipping", False)
@@ -1182,9 +1179,10 @@ class PooledApplyKernel:
         return cached
 
     # -- identity-skipping recursion (matrix modes) ----------------------
-    # Mirror of `_ApplyKernel._rec_s`: skipped levels stand for identities,
-    # so the recursion tracks the next gate line and keys the cache on it
-    # (node-only keys would collide when gate lines fall in skipped ranges).
+    # Skipped levels stand for identities, so a gate line may fall inside a
+    # skipped range: the recursion tracks the next gate line and keys the
+    # cache on it (node-only keys would collide — two parents can reach the
+    # same node with different remaining gate lines).
     @staticmethod
     def _next_line(lines: Tuple[int, ...], level: int):
         for line in lines:

@@ -19,14 +19,12 @@ normalizing constructors, so the result is canonical under the new order
 rebuilt matrix node.
 
 The recursion, the per-swap node count and the level populations run on
-in-flight ``(handle, weight)`` pairs through a few per-backend primitives
-(``var_of``, ``children``, ``successors``, ``make``, ``scale``): on pooled
-storage a handle is a node-pool index read straight off the flat arrays,
-on object storage it is the node itself and a pair is an :class:`Edge`.
-Pairs become edges again only when the result is installed
-(:func:`_finish`); they pin nothing, so the package refuses a garbage
-collection while a reorder runs.  Edges handed out before a reorder keep
-working through the package's remap (``DDPackage._resolve``).
+in-flight ``(node_index, weight)`` pairs read straight off the engine's
+flat node pools (:mod:`repro.dd.pooled`).  Pairs become edges again only
+when the result is installed (:func:`_finish`); they pin nothing, so the
+package refuses a garbage collection while a reorder runs.  Edges handed
+out before a reorder keep working through the package's remap
+(``DDPackage._resolve``).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 from repro.dd.complex_table import ComplexTable
-from repro.dd.edge import Edge, ZERO_EDGE
 from repro.dd.node import MatrixNode
 from repro.dd.pooled import MATRIX, VECTOR, ZERO_E
 from repro.errors import DDError
@@ -46,99 +43,61 @@ __all__ = ["swap_adjacent", "sift"]
 _ONE = ComplexTable.ONE
 
 
-class _ObjectLevels:
-    """Object primitives for one node kind: handle = node, pair = Edge."""
-
-    zero, pair = ZERO_EDGE, Edge
-    var_of = staticmethod(lambda node: node.var)
-    children = staticmethod(lambda node: node.edges)
-    successors = staticmethod(
-        lambda node: [edge.node for edge in node.edges if edge.node.var >= 0]
-    )
-    handle = to_edge = staticmethod(lambda value: value)
-
-    def __init__(self, package, kind: int):
-        table = package.complex_table
-        self.arity = 4 if kind == MATRIX else 2
-        self.skipping = kind == MATRIX and package.identity_skipping
-        self.make = (
-            package.make_matrix_node if kind == MATRIX else package.make_vector_node
-        )
-        self.scale = lambda edge, factor: edge.scaled(factor, table)
-
-
-class _PooledLevels:
-    """Pooled primitives for one node kind: handle = node-pool index."""
-
-    zero = ZERO_E
-    pair = staticmethod(lambda index, weight: (index, weight))
-    handle = staticmethod(lambda view: view._index)
-
-    def __init__(self, package, kind: int):
-        engine = package._pooled
-        pool = engine.vpool if kind == VECTOR else engine.mpool
-        var, succ, arity = pool.var, pool.succ, pool.arity
-        self.arity = arity
-        self.skipping = kind == MATRIX and engine.identity_skipping
-        self.var_of = lambda index: var[index] if index >= 0 else -1
-        self.successors = lambda index: [
-            child for child in succ[index * arity : index * arity + arity] if child >= 0
-        ]
-        self.children = functools.partial(engine.children, kind)
-        self.make = functools.partial(engine.make_node, kind)
-        self.scale = engine.scale
-        self.to_edge = functools.partial(engine.to_edge, kind)
-
-
 def _live_roots(package) -> Tuple[List, List]:
     """Deduplicated non-terminal governor root nodes, and their unit pairs
-    tagged with the primitives of their node kind."""
-    levels = _PooledLevels if package._pooled is not None else _ObjectLevels
-    by_kind = (levels(package, VECTOR), levels(package, MATRIX))
+    tagged with their node kind."""
     nodes, roots = [], []
     seen = set()
     for node, _weight in package.governor._live_roots():
         if node.is_terminal or id(node) in seen:
             continue
         seen.add(id(node))
-        ops = by_kind[MATRIX if isinstance(node, MatrixNode) else VECTOR]
         nodes.append(node)
-        roots.append((ops, ops.pair(ops.handle(node), _ONE)))
+        kind = MATRIX if isinstance(node, MatrixNode) else VECTOR
+        roots.append((kind, (node._index, _ONE)))
     return nodes, roots
 
 
-def _swapper(ops, level: int):
+def _swapper(engine, kind: int, level: int):
     """Memoized swap of levels ``(level, level + 1)`` for one node kind's pairs."""
-    var_of, children, make, scale = ops.var_of, ops.children, ops.make, ops.scale
-    zero, arity = ops.zero, ops.arity
+    pool = engine.vpool if kind == VECTOR else engine.mpool
+    var, arity = pool.var, pool.arity
+    skipping = kind == MATRIX and engine.identity_skipping
+    scale = engine.scale
+    children = functools.partial(engine.children, kind)
+    make = functools.partial(engine.make_node, kind)
+
+    def var_of(index):
+        return var[index] if index >= 0 else -1
+
     memo: Dict = {}
 
-    def window(handle, var: int):
-        # ``var`` is ``level + 1`` (the usual case) or ``level`` (identity
+    def window(index, top: int):
+        # ``top`` is ``level + 1`` (the usual case) or ``level`` (identity
         # skipping only: the path skips ``level + 1``, so the top of the
         # window is a virtual identity).
-        if var == level + 1:
-            tops = children(handle)
-        elif ops.skipping:
-            unit = ops.pair(handle, _ONE)
-            tops = (unit, zero, zero, unit)
+        if top == level + 1:
+            tops = children(index)
+        elif skipping:
+            unit = (index, _ONE)
+            tops = (unit, ZERO_E, ZERO_E, unit)
         else:
             raise DDError(
                 f"cannot swap levels ({level}, {level + 1}): a root spans only "
-                f"{var + 1} levels (mixed-span roots are not supported)"
+                f"{top + 1} levels (mixed-span roots are not supported)"
             )
         rows = []
         for child in tops:
-            chandle, cweight = child
+            cindex, cweight = child
             if not cweight:
-                rows.append((zero,) * arity)
-            elif var_of(chandle) >= level:
+                rows.append((ZERO_E,) * arity)
+            elif var_of(cindex) >= level:
                 rows.append(
-                    [zero if not g[1] else scale(g, cweight) for g in children(chandle)]
+                    [ZERO_E if not g[1] else scale(g, cweight) for g in children(cindex)]
                 )
-            elif ops.skipping:
+            elif skipping:
                 # The child skips the lower window level: virtually diagonal.
-                rows.append((child, zero, zero, child))
+                rows.append((child, ZERO_E, ZERO_E, child))
             else:
                 raise DDError(
                     f"level {level} is missing below a level-{level + 1} node "
@@ -148,22 +107,22 @@ def _swapper(ops, level: int):
         return make(level + 1, inner)
 
     def swap(pair):
-        handle, weight = pair
+        index, weight = pair
         if not weight:
             return pair
-        var = var_of(handle)
-        if var < level:
+        at = var_of(index)
+        if at < level:
             # Entirely below the window (or, with identity skipping, an
             # identity across both window levels): shared unchanged.
             return pair
-        res = memo.get(handle)
+        res = memo.get(index)
         if res is None:
-            if var > level + 1:
-                res = make(var, [swap(child) for child in children(handle)])
+            if at > level + 1:
+                res = make(at, [swap(child) for child in children(index)])
             else:
-                res = window(handle, var)
-            memo[handle] = res
-        return zero if not res[1] else scale(res, weight)
+                res = window(index, at)
+            memo[index] = res
+        return ZERO_E if not res[1] else scale(res, weight)
 
     return swap
 
@@ -175,14 +134,12 @@ def _swap_roots(package, level: int, roots: List) -> List:
     if level < 0:
         raise DDError("swap levels must be non-negative")
     lookup = package.complex_table.lookup
-    swaps: Dict = {}
+    swaps = [_swapper(package._pooled, kind, level) for kind in (VECTOR, MATRIX)]
     out = []
-    for ops, pair in roots:
-        if ops not in swaps:
-            swaps[ops] = _swapper(ops, level)
-        handle, weight = swaps[ops](pair)
+    for kind, pair in roots:
+        index, weight = swaps[kind](pair)
         weight = lookup(weight)
-        out.append((ops, ops.zero if weight == 0 else ops.pair(handle, weight)))
+        out.append((kind, ZERO_E if weight == 0 else (index, weight)))
     package._ensure_order(level + 2)
     order = package._order
     order[level], order[level + 1] = order[level + 1], order[level]
@@ -191,33 +148,36 @@ def _swap_roots(package, level: int, roots: List) -> List:
     return out
 
 
-def _reachable(roots: List) -> Dict:
-    """Non-terminal handles reachable from the root pairs, per node kind."""
-    seen: Dict = {}
-    for ops, (handle, weight) in roots:
-        nodes = seen.setdefault(ops, set())
-        if not weight or handle in nodes or ops.var_of(handle) < 0:
+def _reachable(engine, roots: List) -> Tuple[set, set]:
+    """Node indices reachable from the root pairs, per node kind."""
+    seen = (set(), set())
+    for kind, (index, weight) in roots:
+        nodes = seen[kind]
+        if not weight or index < 0 or index in nodes:
             continue
-        nodes.add(handle)
-        stack = [handle]
+        pool = engine.vpool if kind == VECTOR else engine.mpool
+        succ, arity = pool.succ, pool.arity
+        nodes.add(index)
+        stack = [index]
         while stack:
-            for child in ops.successors(stack.pop()):
-                if child not in nodes:
+            base = stack.pop() * arity
+            for child in succ[base : base + arity]:
+                if child >= 0 and child not in nodes:
                     nodes.add(child)
                     stack.append(child)
     return seen
 
 
-def _count(roots: List) -> int:
+def _count(engine, roots: List) -> int:
     """Live nodes under all roots together (shared nodes count once)."""
-    return sum(len(nodes) for nodes in _reachable(roots).values())
+    return sum(len(nodes) for nodes in _reachable(engine, roots))
 
 
 def _finish(package, root_nodes, roots: List) -> None:
     """Install the root translation map and rebuild the governor roots."""
     mapping = {}
-    for orig, (ops, pair) in zip(root_nodes, roots):
-        final = ops.to_edge(pair)
+    for orig, (kind, pair) in zip(root_nodes, roots):
+        final = package._pooled.to_edge(kind, pair)
         if final.node is not orig or final.weight != _ONE:
             mapping[orig] = final
     package._apply_reorder_remap(mapping)
@@ -252,9 +212,10 @@ def sift(package, max_growth: float = 2.0) -> Dict:
     direction once the diagram exceeds that multiple of the best size
     seen for the current variable.
     """
+    engine = package._pooled
     root_nodes, current = _live_roots(package)
-    reachable = _reachable(current)
-    before = sum(len(nodes) for nodes in reachable.values())
+    reachable = _reachable(engine, current)
+    before = sum(len(nodes) for nodes in reachable)
     summary = {"strategy": "sifting", "swaps": 0, "nodes_before": before,
                "nodes_after": before, "order": package.qubit_order}
     n = max((node.var for node in root_nodes), default=0) + 1
@@ -271,7 +232,10 @@ def sift(package, max_growth: float = 2.0) -> Dict:
         current[:] = _swap_roots(package, min(pos, pos + step), current)
         return pos + step
 
-    sizes = Counter(ops.var_of(h) for ops, nodes in reachable.items() for h in nodes)
+    pools = (engine.vpool, engine.mpool)
+    sizes = Counter(
+        pools[kind].var[index] for kind, nodes in enumerate(reachable) for index in nodes
+    )
     by_population = sorted(range(n), key=lambda lvl: (-sizes[lvl], lvl))
     # Each variable starts from the count at the position the previous one
     # settled at (the diagram is canonical for the order, so no re-walk).
@@ -283,7 +247,7 @@ def sift(package, max_growth: float = 2.0) -> Dict:
         for step, stop in ((-1, 0), (1, n - 1)):
             while pos != stop:
                 pos = shift(pos, step)
-                count = _count(current)
+                count = _count(engine, current)
                 if count < best_count:
                     best_count, best_pos = count, pos
                 if count > max_growth * best_count:
@@ -294,6 +258,6 @@ def sift(package, max_growth: float = 2.0) -> Dict:
         settled = best_count
     _finish(package, root_nodes, current)
     summary["swaps"] = package._reorder_swaps - swaps_before
-    summary["nodes_after"] = _count(current)
+    summary["nodes_after"] = _count(engine, current)
     summary["order"] = package.qubit_order
     return summary

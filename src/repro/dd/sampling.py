@@ -113,7 +113,7 @@ def qubit_probabilities(
 def _pooled_sampler(package: DDPackage, state: Edge):
     """A one-shot sampler walking the pooled node arrays, or ``None``.
 
-    Only for pooled packages under the L2 scheme, where a node's |0>
+    Only for vector DDs under the L2 scheme, where a node's |0>
     probability is ``|w0|**2`` of its stored successor weight.  Each node's
     probability is read once and memoized across shots; each level still
     draws exactly one ``rng.random()``, so a seeded generator yields the
@@ -121,11 +121,8 @@ def _pooled_sampler(package: DDPackage, state: Edge):
     """
     engine = package._pooled
     node = state.node
-    if (
-        engine is None
-        or package.vector_scheme is not NormalizationScheme.L2
-        or getattr(node, "_engine", None) is not engine
-        or not isinstance(node, VectorNode)
+    if package.vector_scheme is not NormalizationScheme.L2 or not isinstance(
+        node, VectorNode
     ):
         return None
     pool = engine.vpool
@@ -134,7 +131,7 @@ def _pooled_sampler(package: DDPackage, state: Edge):
     num_qubits = node.var + 1
     # String position of the bit drawn at each level (big-endian by qubit).
     position = [num_qubits - 1 - package.qubit_at(level) for level in range(num_qubits)]
-    root = node._index
+    root = engine.node_index(node)
     # node index -> (p0, string position, |0> successor, |1> successor)
     memo: Dict[int, Tuple[float, int, int, int]] = {}
 

@@ -54,19 +54,18 @@ Invariant families
     every amplitude/sample/serialization query).
 
 ``skip-level-*``
-    Identity-skipping consistency (both backends): in a dense package no
-    matrix edge may skip a level (``skip-level-dense``), and in a
-    skipping package no explicit identity node ``(e, 0, 0, e)`` may
-    survive construction (``skip-level-unreduced``) — the reduction rule
-    must have fired.
+    Identity-skipping consistency: in a dense package no matrix edge may
+    skip a level (``skip-level-dense``), and in a skipping package no
+    explicit identity node ``(e, 0, 0, e)`` may survive construction
+    (``skip-level-unreduced``) — the reduction rule must have fired.
 
 ``pool-*``
-    Pooled-storage index integrity (``storage="pooled"`` only): every live
-    node's successor indices point at live pool slots (never into the
-    free-list), every weight index points at a live weight-pool entry,
-    the free-list holds exactly the freed slots with no duplicates, and
-    every live node is reachable through its own unique-table probe chain
-    (open addressing never strands a live entry).
+    Pool index integrity: every live node's successor indices point at
+    live pool slots (never into the free-list), every weight index points
+    at a live weight-pool entry, the free-list holds exactly the freed
+    slots with no duplicates, and every live node is reachable through
+    its own unique-table probe chain (open addressing never strands a
+    live entry).
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from typing import Dict, List, Tuple
 from repro.dd.complex_table import ComplexTable
 from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
-from repro.dd.unique_table import _signature
+from repro.dd.pool import FREED_VAR, TERMINAL_INDEX
 from repro.errors import SanitizerError
 
 __all__ = ["DDSanitizer", "SanitizeReport", "Violation", "NORM_SLACK_FACTOR"]
@@ -90,6 +89,15 @@ __all__ = ["DDSanitizer", "SanitizeReport", "Violation", "NORM_SLACK_FACTOR"]
 #: broken.  Planted faults perturb weights by ~1e-3 — orders of magnitude
 #: above the slack — so detection is unaffected.
 NORM_SLACK_FACTOR = 64.0
+
+
+def _signature(var: int, edges) -> tuple:
+    """A node's structural key ``(var, (successor uid, weight), ...)``.
+
+    Node identity (uid) suffices because successors are themselves
+    hash-consed; weights are canonical, so exact equality is sound.
+    """
+    return (var,) + tuple((edge.node.uid, edge.weight) for edge in edges)
 
 
 @dataclass(frozen=True)
@@ -483,14 +491,10 @@ class DDSanitizer:
 
 
     # ------------------------------------------------------------------
-    # pooled storage: index integrity
+    # node and weight pools: index integrity
     # ------------------------------------------------------------------
     def _check_pools(self, report: SanitizeReport) -> None:
-        engine = getattr(self.package, "_pooled", None)
-        if engine is None:
-            return
-        from repro.dd.pool import FREED_VAR, TERMINAL_INDEX
-
+        engine = self.package._pooled
         weights = engine.weights
         for kind, pool, unique in (
             ("vector", engine.vpool, engine._vunique),

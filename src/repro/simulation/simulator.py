@@ -82,16 +82,10 @@ class DDSimulator:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         use_apply_kernels: Optional[bool] = None,
-        storage: Optional[str] = None,
     ):
         self.circuit = circuit
         if package is None:
-            package = DDPackage(registry=registry, storage=storage)
-        elif storage is not None and package.storage != storage:
-            raise ValueError(
-                f"explicit package uses storage {package.storage!r}, "
-                f"cannot honour storage={storage!r}"
-            )
+            package = DDPackage(registry=registry)
         self.package = package
         # Per-run override of the package's gate-application path: True
         # forces the direct kernels, False the legacy matrix path; None

@@ -113,10 +113,10 @@ class TestSpecValidation:
         with pytest.raises(CampaignSpecError, match="duplicate package labels"):
             parse_spec(data)
 
-    def test_bad_storage_backend_rejected(self):
+    def test_retired_storage_key_rejected(self):
         data = make_spec_dict()
-        data["cells"]["packages"] = [{"label": "x", "storage": "quantum"}]
-        with pytest.raises(CampaignSpecError, match="storage"):
+        data["cells"]["packages"] = [{"label": "x", "storage": "pooled"}]
+        with pytest.raises(CampaignSpecError, match="unknown key.*storage"):
             parse_spec(data)
 
     def test_bad_mode_rejected(self):

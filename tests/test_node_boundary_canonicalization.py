@@ -25,8 +25,6 @@ from repro.qc.circuit import QuantumCircuit
 from repro.simulation.simulator import DDSimulator
 from tests import dense_oracle
 
-BACKENDS = ("pooled", "object")
-
 #: Largest absolute amplitude error allowed against the dense oracle.
 #: Each normalization may snap a node weight to a representative up to the
 #: table tolerance (1e-10) away; the bound allows ten such snaps along a
@@ -75,8 +73,8 @@ def _circuit(num_qubits: int, gates) -> QuantumCircuit:
     return circuit
 
 
-def _simulate(num_qubits: int, gates, storage: str = "pooled"):
-    package = DDPackage(storage=storage)
+def _simulate(num_qubits: int, gates):
+    package = DDPackage()
     simulator = DDSimulator(_circuit(num_qubits, gates), package=package, seed=0)
     simulator.run_all()
     return package, simulator
@@ -101,9 +99,8 @@ def test_brickwork_table_stays_small():
     simulator.close()
 
 
-@pytest.mark.parametrize("storage", BACKENDS)
-def test_public_ops_return_canonical_roots(storage):
-    package = DDPackage(storage=storage)
+def test_public_ops_return_canonical_roots():
+    package = DDPackage()
     rng = np.random.default_rng(7)
     vector = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = package.from_state_vector(vector / np.linalg.norm(vector))
@@ -132,7 +129,7 @@ def test_public_ops_return_canonical_roots(storage):
     for edge in results:
         assert not edge.is_zero
         _assert_canonical(package, edge)
-    _package, simulator = _simulate(4, _random_gates(4, 40, random.Random(3)), storage)
+    _package, simulator = _simulate(4, _random_gates(4, 40, random.Random(3)))
     _assert_canonical(simulator.package, simulator.state)
     simulator.close()
 

@@ -13,22 +13,10 @@ from repro.simulation import DDSimulator
 
 
 class TestGarbageCollection:
-    def test_dropped_diagrams_are_reclaimed(self):
-        # Weak-reference reclamation is an object-storage behaviour: nodes
-        # die with their last Python reference.
-        package = DDPackage(storage="object")
-        state = package.zero_state(20)
-        package.clear_caches()
-        stats = package.stats()
-        assert stats["unique_vector"]["entries"] == 20
-        del state
-        gc.collect()
-        assert package.stats()["unique_vector"]["entries"] == 0
-
     def test_dropped_diagrams_are_reclaimed_pooled(self):
-        # Pooled slots are not weakly held — an explicit mark-and-sweep
-        # (the governor's HARD tier) reclaims unreachable indices instead.
-        package = DDPackage(storage="pooled")
+        # Pool slots are not weakly held — an explicit mark-and-sweep
+        # (the governor's HARD tier) reclaims unreachable indices.
+        package = DDPackage()
         state = package.zero_state(20)
         package.clear_caches()
         assert package.stats()["unique_vector"]["entries"] == 20
@@ -36,6 +24,16 @@ class TestGarbageCollection:
         gc.collect()
         package.gc(force=True)
         assert package.stats()["unique_vector"]["entries"] == 0
+
+    def test_pooled_survives_gc_with_bit_exact_state(self):
+        # A forced HARD collection frees unreachable pool slots but must
+        # not perturb a single amplitude of the live state.
+        simulator = DDSimulator(library.qft(4))
+        simulator.run_all()
+        before = simulator.statevector()
+        stats = simulator.package.gc(force=True)
+        assert stats.nodes_after <= stats.nodes_before
+        assert np.array_equal(simulator.statevector(), before)
 
     def test_shared_nodes_survive_partial_release(self):
         package = DDPackage()

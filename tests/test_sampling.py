@@ -184,9 +184,9 @@ class TestPooledSampler:
     the outcomes of the node-view walk for a given seed."""
 
     @staticmethod
-    def _blocked_pairs(storage):
+    def _blocked_pairs():
         # Partners three levels apart: sifting moves them next to each other.
-        package = DDPackage(storage=storage, reorder="manual")
+        package = DDPackage(reorder="manual")
         state = package.zero_state(6)
         for low, angle in ((0, 0.4), (1, 1.1), (2, 2.3)):
             ry = np.array(
@@ -199,8 +199,8 @@ class TestPooledSampler:
             )
         return package, package.incref(state)
 
-    def _counts(self, storage, sift, seed):
-        package, state = self._blocked_pairs(storage)
+    def _counts(self, sift, seed):
+        package, state = self._blocked_pairs()
         if sift:
             package.reorder()
             assert package.qubit_order != list(range(6))
@@ -212,16 +212,19 @@ class TestPooledSampler:
         return counts, shots
 
     def test_pooled_package_uses_the_array_walk(self):
-        package, state = self._blocked_pairs("pooled")
+        package, state = self._blocked_pairs()
         assert sampling._pooled_sampler(package, state) is not None
-        package, state = self._blocked_pairs("object")
-        assert sampling._pooled_sampler(package, state) is None
+        # Under MAX_MAGNITUDE a |0> weight is no probability: node-view walk.
+        package = DDPackage(vector_scheme=NormalizationScheme.MAX_MAGNITUDE)
+        assert sampling._pooled_sampler(package, package.zero_state(2)) is None
 
     @pytest.mark.parametrize("sift", [False, True])
-    def test_counts_equal_across_backends(self, sift):
+    def test_counts_equal_across_walks(self, sift, monkeypatch):
         for seed in (0, 1, 2):
-            pooled = self._counts("pooled", sift, seed)
-            assert pooled == self._counts("object", sift, seed)
+            pooled = self._counts(sift, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "_pooled_sampler", lambda *_: None)
+                assert pooled == self._counts(sift, seed)
             counts, shots = pooled
             assert sum(counts.values()) == 512
             # Every pair stays correlated: q_k equals q_{k+3}.
