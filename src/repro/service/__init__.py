@@ -15,11 +15,10 @@ Layers (all stdlib, no new dependencies):
 
 * :mod:`repro.service.app` — transport-free request routing and handlers;
 * :mod:`repro.service.eventloop` — the non-blocking ``selectors``-based
-  reactor front end (default): incremental HTTP parsing, keep-alive,
+  reactor front end: incremental HTTP parsing, keep-alive,
   backpressure-aware streaming writes;
-* :mod:`repro.service.server` — front-end selection (event loop or the
-  legacy threaded ``http.server``) with graceful SIGTERM drain
-  (``qdd-tool serve``);
+* :mod:`repro.service.server` — the embeddable server around the reactor,
+  with graceful SIGTERM drain (``qdd-tool serve``);
 * :mod:`repro.service.loadgen` — the multi-process saturation load
   generator behind ``scripts/service_loadgen.py``;
 * :mod:`repro.service.sessions` — TTL/LRU session store with backpressure;

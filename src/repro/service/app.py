@@ -2,8 +2,9 @@
 
 This module is deliberately transport-free: :class:`ServiceApp` maps a
 plain :class:`Request` value to a :class:`Response` value, so the whole API
-is unit-testable without opening a socket.  ``server.py`` adapts it to
-``http.server``; a WSGI/ASGI adapter would be a dozen lines.
+is unit-testable without opening a socket.  ``server.py`` serves it over
+the ``selectors`` reactor in ``eventloop.py``; a WSGI/ASGI adapter would
+be a dozen lines.
 
 Routes (all JSON unless noted):
 
@@ -98,12 +99,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8137
-    #: HTTP transport: the non-blocking ``selectors`` reactor
-    #: (``"eventloop"``, default) or one thread per connection
-    #: (``"threaded"``, the legacy front end).
-    frontend: str = "eventloop"
     #: Handler threads behind the event loop (0 = sized from ``workers``).
-    #: Irrelevant for the threaded front end.
     handler_threads: int = 0
     workers: int = 2
     max_sessions: int = 64

@@ -1,6 +1,6 @@
 """Non-blocking ``selectors``-based HTTP front end for the service.
 
-The thread-per-connection front end caps out at a few hundred concurrent
+A thread-per-connection server caps out at a few hundred concurrent
 clients: every open socket costs a thread, and a slow or idle client pins
 one forever.  This module holds *all* connections on a single readiness-
 driven event loop instead:
@@ -24,9 +24,9 @@ driven event loop instead:
   one slow subscriber buffers kilobytes, not the whole event history.
 
 The protocol-level helpers (:func:`parse_content_length`,
-:func:`parse_query_strict`, :func:`display_host`, :func:`error_body`)
-are shared with the legacy threaded front end in ``server.py`` so both
-transports return identical structured errors.
+:func:`parse_query_strict`, :func:`error_body`) turn malformed framing
+into structured JSON errors; :func:`display_host` gives ``server.py`` a
+dialable URL for wildcard binds.
 """
 
 from __future__ import annotations
@@ -608,8 +608,7 @@ class SelectorFrontEnd:
             if head_only:
                 # A HEAD of a streaming endpoint answers with the stream's
                 # status and headers but no body; nothing meaningful can be
-                # resumed, so the connection closes (mirrors the threaded
-                # front end's always-close streams).
+                # resumed, so the connection closes, as streams always do.
                 response.close()
                 conn.out += self._head_bytes(
                     response.status, response.content_type, response.headers,

@@ -26,10 +26,12 @@ computation is actually stopped, not merely ignored.  Kills are counted in
 
 Workers also participate in memory governance: after every job the worker
 runs its package's garbage collector if the configured
-:class:`~repro.dd.governance.MemoryBudget` shows pressure, and reports the
-post-GC pressure back alongside the result.  If a worker remains at HARD
-pressure even after collecting (live data alone exceeds the budget), the
-pool sheds load for a cooldown period: ``submit`` raises
+:class:`~repro.dd.governance.MemoryBudget` shows pressure, forces a full
+collection once the package holds more than :data:`WORKER_NODE_CAP` nodes
+(budget or not), and reports the post-GC pressure back alongside the
+result.  If a worker remains at HARD pressure even after collecting (live
+data alone exceeds the budget), the pool sheds load for a cooldown
+period: ``submit`` raises
 :class:`~repro.errors.TablePressureError`, which the HTTP layer maps to
 ``503`` with a ``Retry-After`` header — bounded memory instead of
 fast-until-OOM.
@@ -72,6 +74,10 @@ __all__ = ["WorkerPool", "simulate_job", "verify_job"]
 _WORKER_PACKAGE = None
 #: Budget applied to worker packages, set by the worker bootstrap.
 _WORKER_BUDGET: Tuple[int, int] = (0, 0)  # (max_nodes, max_bytes); 0 = off
+#: Unique-table nodes above which a worker forces a collection after a
+#: job.  Without it an unbudgeted package only ever grows; a collection
+#: per job would instead discard the warm tables shard affinity reuses.
+WORKER_NODE_CAP = 1 << 16
 
 
 def _package():
@@ -215,13 +221,16 @@ def register_job(kind: str, fn: Callable[..., Dict[str, Any]]) -> None:
 
 
 def _governance_report() -> Dict[str, Any]:
-    """Post-job governance snapshot; collects if the budget shows pressure."""
+    """Post-job governance snapshot; collects under budget pressure or
+    once the package holds more than :data:`WORKER_NODE_CAP` nodes."""
     from repro.dd.governance import PressureLevel
 
     package = _package()
     governor = package.governor
     if governor.pressure() is not PressureLevel.OK:
         governor.collect()
+    if governor.node_count() > WORKER_NODE_CAP:
+        governor.collect(force=True)
     return {
         "pressure": int(governor.pressure()),
         "table_bytes": governor.table_bytes(),

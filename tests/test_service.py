@@ -443,6 +443,27 @@ class TestGovernancePressure:
         assert "service_watchdog_kills_total" in body
         assert "dd_gc_runs_total" in body
 
+    def test_unbudgeted_worker_package_stays_under_node_cap(self, monkeypatch):
+        from repro.service import workers
+
+        cap = 256
+        monkeypatch.setattr(workers, "WORKER_NODE_CAP", cap)
+        monkeypatch.setattr(workers, "_WORKER_BUDGET", (0, 0))
+        workers._reset_package()
+        pool = workers.WorkerPool(workers=0)
+        try:
+            for seed in range(30):
+                qasm = library.random_circuit(6, 30, seed=seed).to_qasm()
+                pool.submit("simulate", workers.simulate_job, qasm, 64, seed)
+                assert pool.last_report["nodes"] <= cap
+                # Complex entries only land on node edges (at most two per
+                # vector node) plus a few constants, so they are bounded too.
+                assert len(workers._package().complex_table) <= 2 * cap + 16
+            assert pool.last_report["gc_runs"] > 0
+        finally:
+            pool.close()
+            workers._reset_package()
+
 
 class TestRateLimit:
     def test_429_when_bucket_empty(self):

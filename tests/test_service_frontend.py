@@ -1,9 +1,8 @@
-"""HTTP front-end regression suite, run against BOTH transports.
+"""HTTP front-end regression suite for the ``selectors`` reactor.
 
-Every test here is parametrized over the ``eventloop`` reactor and the
-legacy ``threaded`` server: the two front ends must speak identical HTTP.
-The first four test groups are regressions for bugs the threaded front
-end shipped with (and which the reactor must not reintroduce):
+The first four test groups are regressions for HTTP bugs an earlier
+``http.server``-based front end shipped with, which the reactor must
+not reintroduce:
 
 * a malformed ``Content-Length`` header (``abc``) used to raise
   ``ValueError`` inside the handler and kill the connection with no
@@ -33,16 +32,14 @@ from repro.qc import library
 from repro.service import DDToolServer, ServiceConfig
 from repro.service.workers import WorkerPool, simulate_job
 
-FRONTENDS = ("threaded", "eventloop")
 QFT = library.qft(3).to_qasm()
 
 
-@pytest.fixture(scope="module", params=FRONTENDS)
-def server(request):
+@pytest.fixture(scope="module")
+def server():
     config = ServiceConfig(
         host="127.0.0.1", port=0, workers=0,
-        cache_capacity=64, frontend=request.param,
-        batch_max_jobs=8,
+        cache_capacity=64, batch_max_jobs=8,
     )
     instance = DDToolServer(config).start()
     yield instance
@@ -150,10 +147,8 @@ def test_distinct_query_parameters_still_accepted(server):
 # ----------------------------------------------------------------------
 # bugfix 3: wildcard bind host must not leak into the advertised URL
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("frontend", FRONTENDS)
-def test_wildcard_host_url_is_dialable(frontend):
-    config = ServiceConfig(host="0.0.0.0", port=0, workers=0,
-                           frontend=frontend)
+def test_wildcard_host_url_is_dialable():
+    config = ServiceConfig(host="0.0.0.0", port=0, workers=0)
     with DDToolServer(config) as instance:
         assert "0.0.0.0" not in instance.url
         assert instance.url.startswith("http://127.0.0.1:")
@@ -411,8 +406,7 @@ def test_http_requests_with_same_digest_share_a_shard(server):
 # graceful shutdown drains in-flight work on the reactor
 # ----------------------------------------------------------------------
 def test_eventloop_stop_completes_inflight_request():
-    config = ServiceConfig(host="127.0.0.1", port=0, workers=0,
-                           frontend="eventloop")
+    config = ServiceConfig(host="127.0.0.1", port=0, workers=0)
     instance = DDToolServer(config).start()
     host, port = instance.address
     connection = HTTPConnection(host, port, timeout=30)

@@ -1,6 +1,6 @@
 """Loopback integration test of the full HTTP service.
 
-One real :class:`DDToolServer` (threading HTTP front end + process worker
+One real :class:`DDToolServer` (event-loop HTTP front end + process worker
 pool) serves 8 concurrent clients, each of which drives a complete
 session-stepping workflow, a one-shot ``/simulate`` and a one-shot
 ``/verify`` — including paper Ex. 12's three-qubit QFT alternating check,
