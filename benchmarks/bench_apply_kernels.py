@@ -16,6 +16,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from repro.dd.package import DDPackage
 from repro.qc import library
 from repro.simulation.simulator import DDSimulator
 
@@ -25,7 +26,9 @@ REPEATS = 5
 def _run_path(circuit, use_apply_kernels: bool) -> dict:
     best = None
     for _ in range(REPEATS):
-        simulator = DDSimulator(circuit, use_apply_kernels=use_apply_kernels)
+        simulator = DDSimulator(
+            circuit, package=DDPackage(use_apply_kernels=use_apply_kernels)
+        )
         start = perf_counter()
         simulator.run_all()
         elapsed = perf_counter() - start

@@ -22,7 +22,7 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "shots": 0,
         "packages": [
           {"label": "kernels"},
-          {"label": "matrix-path", "use_apply_kernels": false}
+          {"label": "gate-dd", "use_apply_kernels": false}
         ]
       },
       "execution": {"workers": 0, "cell_timeout": 120.0},

@@ -32,7 +32,8 @@ Kernel taxonomy (reported through the ``dd_apply_total`` counter):
     recursion (``P`` zeroes the inactive control branches).
 ``swap``
     SWAP / Fredkin via three CX kernel applications; iSWAP via
-    ``SWAP . CZ . (S x S)``.
+    ``SWAP . CZ . (S x S)``.  One stage list (:func:`_stages`) serves
+    vectors and both matrix sides.
 
 All kernels share one dedicated compute table (``DDPackage._apply_cache``)
 keyed on ``(gate id, node)``, where the gate id holds the unitary's entries
@@ -42,21 +43,24 @@ scheme) hit the cache.  Like the rest of the weight arithmetic, gate entries
 are never looked up in the complex table; only the weights of the nodes the
 kernel creates and the returned root weight are.
 
-Results are bit-identical to the matrix path in the canonical sense: both
-paths normalize through the same unique tables, so they yield the very
-same root edge within one package (tested by the differential suite).
+This module also owns the choice between the kernels and the matrix path
+(the gate's full-system matrix DD, multiplied on): :func:`apply_operation`
+(vectors) and :func:`apply_operation_matrix` (operators) are the only
+readers of the package setting ``use_apply_kernels``.  Both paths
+normalize through the same unique tables, so they yield the very same
+root edge within one package.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.dd.edge import Edge
 from repro.dd.pooled import PooledApplyKernel
-from repro.errors import DDError
+from repro.errors import DDError, GateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
 
 __all__ = [
@@ -167,18 +171,10 @@ def apply_controlled(
     negative_controls: Sequence[int] = (),
 ) -> Edge:
     """Apply a (multi-)controlled single-qubit gate directly to a vector DD."""
-    package._maybe_gc()
-    state = package._resolve(state)
-    target, mapping = _map_lines(
-        package, target, _control_map(controls, negative_controls)
+    return _run(
+        package, "v", state,
+        ((matrix, target, _control_map(controls, negative_controls)),),
     )
-    kernel = _make_kernel(package, "v", matrix, target, mapping)
-    if not package._obs_on:
-        return kernel.run(state)
-    start = perf_counter()
-    result = kernel.run(state)
-    _observe(package, kernel.kernel, start)
-    return result
 
 
 def apply_swap(
@@ -189,154 +185,127 @@ def apply_swap(
     controls: Sequence[int] = (),
     negative_controls: Sequence[int] = (),
 ) -> Edge:
-    """Apply a (controlled) SWAP via three CX kernel applications.
-
-    The standard Fredkin decomposition ``cx(c,b); ccx(ctrls+b, c); cx(c,b)``
-    with all extra controls attached to the middle Toffoli — mirroring the
-    matrix path so both produce the same operator.
-    """
+    """Apply a (controlled) SWAP directly to a vector DD (see
+    :func:`_swap_stages`)."""
     if line_a == line_b:
         raise DDError("SWAP needs two distinct lines")
-    package._maybe_gc()
-    state = package._resolve(state)
-    mapping = _control_map(controls, negative_controls)
-    if not package._order_is_identity:
-        line_a = package.level_of(line_a)
-        line_b = package.level_of(line_b)
-        mapping = {package.level_of(line): bit for line, bit in mapping.items()}
-    start = perf_counter() if package._obs_on else None
-    outer = _make_kernel(package, "v", _X_MATRIX, line_a, {line_b: 1})
-    mapping[line_a] = 1
-    inner = _make_kernel(package, "v", _X_MATRIX, line_b, mapping)
-    result = outer.run(inner.run(outer.run(state)))
-    if start is not None:
-        _observe(package, "swap", start)
-    return result
-
-
-def _iswap_stages(targets: Tuple[int, int], sign: int):
-    """iSWAP = SWAP . CZ . (S x S); the adjoint uses S† (``sign=-1``)."""
-    high, low = targets
-    phase = _S_MATRIX if sign > 0 else _SDG_MATRIX
-    return (
-        (phase, high, {}),
-        (phase, low, {}),
-        (_Z_MATRIX, high, {low: 1}),
+    return _run(
+        package, "v", state,
+        _swap_stages(line_a, line_b, _control_map(controls, negative_controls)),
     )
 
 
 # ----------------------------------------------------------------------
-# circuit-IR dispatch
+# gates as kernel stages
 # ----------------------------------------------------------------------
-def apply_operation(package, state: Edge, operation, num_qubits: int):
-    """Apply one :class:`~repro.qc.operations.GateOp` to a vector DD.
+def _swap_stages(line_a: int, line_b: int, controls: Dict[int, int]):
+    """SWAP as three CX stages: ``cx(b,a); ccx(controls+a, b); cx(b,a)``.
 
-    Returns the new state edge, or ``None`` when the operation has no
-    direct kernel (the caller falls back to the matrix path).
+    The standard Fredkin decomposition, with all extra controls attached
+    to the middle Toffoli (as in :func:`repro.qc.dd_builder.gate_to_dd`),
+    so both paths realize the same operator.
     """
+    outer = (_X_MATRIX, line_a, {line_b: 1})
+    inner_controls = dict(controls)
+    inner_controls[line_a] = 1
+    return (outer, (_X_MATRIX, line_b, inner_controls), outer)
+
+
+def _stages(operation):
+    """``operation`` as (multi-)controlled 2x2 kernel stages, listed in
+    application order: the first stage is the rightmost product factor,
+    the one that acts first on a state."""
+    if type(operation) is tuple:
+        matrix, qubit = operation
+        return ((matrix, qubit, {}),)
     matrix = operation.matrix_readonly()
     targets = operation.targets
+    controls = _control_map(operation.controls, operation.negative_controls)
     if matrix.shape == (2, 2):
-        return apply_controlled(
-            package,
-            state,
-            matrix,
-            targets[0],
-            controls=operation.controls,
-            negative_controls=operation.negative_controls,
-        )
+        return ((matrix, targets[0], controls),)
     if operation.gate == "swap":
-        return apply_swap(
-            package,
-            state,
-            targets[0],
-            targets[1],
-            controls=operation.controls,
-            negative_controls=operation.negative_controls,
-        )
-    if operation.gate in ("iswap", "iswapdg") and operation.num_controls == 0:
-        start = perf_counter() if package._obs_on else None
-        sign = 1 if operation.gate == "iswap" else -1
-        result = package._resolve(state)
-        for gate_matrix, target, ctrls in _iswap_stages(targets, sign):
-            target, ctrls = _map_lines(package, target, ctrls)
-            result = _make_kernel(package, "v", gate_matrix, target, ctrls).run(result)
-        result = apply_swap(package, result, targets[0], targets[1])
-        if start is not None:
-            _observe(package, "swap", start)
-        return result
-    return None
+        return _swap_stages(targets[0], targets[1], controls)
+    if operation.gate in ("iswap", "iswapdg") and not controls:
+        # iSWAP = SWAP . CZ . (S x S), the adjoint with S†: the phase
+        # layer acts first.
+        high, low = targets
+        phase = _S_MATRIX if operation.gate == "iswap" else _SDG_MATRIX
+        return (
+            (phase, high, {}),
+            (phase, low, {}),
+            (_Z_MATRIX, high, {low: 1}),
+        ) + _swap_stages(high, low, {})
+    raise GateError(
+        f"controlled two-qubit gate {operation.gate!r} is not supported; "
+        "decompose it into controlled single-qubit gates and CNOTs"
+    )
+
+
+def _run(package, mode: str, operand: Edge, stages) -> Edge:
+    """Run kernel stages in order on ``operand``; one metric observation
+    per call (a multi-stage SWAP/iSWAP counts as one ``swap``)."""
+    package._maybe_gc()
+    result = package._resolve(operand)
+    start = perf_counter() if package._obs_on else None
+    for matrix, target, controls in stages:
+        target, controls = _map_lines(package, target, controls)
+        kernel = _make_kernel(package, mode, matrix, target, controls)
+        result = kernel.run(result)
+    if start is not None:
+        _observe(package, kernel.kernel if len(stages) == 1 else "swap", start)
+    return result
+
+
+# ----------------------------------------------------------------------
+# the two gate-application entries
+# ----------------------------------------------------------------------
+def _gate_dd(package, operation, num_qubits: int) -> Edge:
+    """The full-system matrix DD of ``operation`` (the matrix path)."""
+    if type(operation) is tuple:
+        matrix, qubit = operation
+        return package.single_qubit_gate(num_qubits, matrix, qubit)
+    from repro.qc.dd_builder import gate_to_dd
+
+    return gate_to_dd(package, operation, num_qubits)
+
+
+def apply_operation(package, state: Edge, operation, num_qubits: int) -> Edge:
+    """Apply one operation to a vector DD: ``operation |state>``.
+
+    ``operation`` is a :class:`~repro.qc.operations.GateOp`, or a
+    ``(matrix, qubit)`` pair for a local 2x2 operator that is not a
+    library gate (the measurement projectors).  This is the one vector
+    entry: ``package.use_apply_kernels`` picks the direct kernels or the
+    matrix path (the operation's full-system matrix DD, multiplied onto
+    the state).  Both give the same canonical edge.  A gate neither path
+    supports (a controlled iSWAP) raises :class:`~repro.errors.GateError`.
+    """
+    if package.use_apply_kernels:
+        return _run(package, "v", state, _stages(operation))
+    return package.multiply(_gate_dd(package, operation, num_qubits), state)
 
 
 def apply_operation_matrix(
     package, operand: Edge, operation, num_qubits: int, side: str = "left"
-):
+) -> Edge:
     """Apply a gate to a *matrix* DD from the left (``g . E``) or right
     (``E . g``) — the two moves of the alternating equivalence scheme.
 
-    Returns ``None`` when the operation has no direct kernel.
+    The one operator entry; ``package.use_apply_kernels`` picks the path
+    as in :func:`apply_operation`.
     """
     if side not in ("left", "right"):
         raise DDError(f"side must be 'left' or 'right', got {side!r}")
-    package._maybe_gc()
-    operand = package._resolve(operand)
-    mode = "ml" if side == "left" else "mr"
-    matrix = operation.matrix_readonly()
-    targets = operation.targets
-    if matrix.shape == (2, 2):
-        target, mapping = _map_lines(
-            package,
-            targets[0],
-            _control_map(operation.controls, operation.negative_controls),
-        )
-        kernel = _make_kernel(package, mode, matrix, target, mapping)
-        if not package._obs_on:
-            return kernel.run(operand)
-        start = perf_counter()
-        result = kernel.run(operand)
-        _observe(package, kernel.kernel, start)
-        return result
-    if matrix.shape != (4, 4):
-        return None
-    stages = _matrix_stages(package, operation, targets)
-    if stages is None:
-        return None
-    start = perf_counter() if package._obs_on else None
+    if not package.use_apply_kernels:
+        gate_dd = _gate_dd(package, operation, num_qubits)
+        if side == "left":
+            return package.multiply(gate_dd, operand)
+        return package.multiply(operand, gate_dd)
+    stages = _stages(operation)
     if side == "left":
-        # (Fk ... F1) . E groups as Fk . (... . (F1 . E)): the first product
-        # factor (stages are listed in application order) multiplies first.
-        ordered = stages
-    else:
-        # E . (Fk ... F1) groups as ((E . Fk) . ...) . F1: the last factor
-        # multiplies first from the right.
-        ordered = tuple(reversed(stages))
-    result = operand
-    for gate_matrix, target, ctrls in ordered:
-        target, ctrls = _map_lines(package, target, ctrls)
-        result = _make_kernel(package, mode, gate_matrix, target, ctrls).run(result)
-    if start is not None:
-        _observe(package, "swap", start)
-    return result
-
-
-def _matrix_stages(package, operation, targets):
-    """Decompose a supported 4x4 gate into 2x2 stages in *product order*
-    (first stage = rightmost factor, applied first to a state)."""
-    extra = _control_map(operation.controls, operation.negative_controls)
-    if operation.gate == "swap":
-        cx_outer = (_X_MATRIX, targets[0], {targets[1]: 1})
-        inner_controls = dict(extra)
-        inner_controls[targets[0]] = 1
-        cx_inner = (_X_MATRIX, targets[1], inner_controls)
-        return (cx_outer, cx_inner, cx_outer)
-    if operation.gate in ("iswap", "iswapdg") and not extra:
-        sign = 1 if operation.gate == "iswap" else -1
-        high, low = targets
-        swap_stages = (
-            (_X_MATRIX, high, {low: 1}),
-            (_X_MATRIX, low, {high: 1}),
-            (_X_MATRIX, high, {low: 1}),
-        )
-        # Product order: SWAP . CZ . (S x S) — the phase layer acts first.
-        return _iswap_stages(targets, sign) + swap_stages
-    return None
+        # (Fk ... F1) . E groups as Fk . (... . (F1 . E)): the first
+        # stage multiplies first.
+        return _run(package, "ml", operand, stages)
+    # E . (Fk ... F1) groups as ((E . Fk) . ...) . F1: the last stage
+    # multiplies first from the right.
+    return _run(package, "mr", operand, stages[::-1])

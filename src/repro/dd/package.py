@@ -94,10 +94,14 @@ class DDPackage:
         by default (so per-package statistics stay separate); pass one
         explicitly to aggregate several components into one report.
     use_apply_kernels:
-        Route gate applications through the direct kernels of
-        :mod:`repro.dd.apply` (no full-system gate DD is constructed).
-        On by default; switch off to force the legacy matrix path, which
-        is retained as the differential-testing oracle.
+        The package's gate path, read by :mod:`repro.dd.apply` only.  On
+        (the default), gates are applied by direct kernels that build no
+        full-system gate DD.  Off, each gate's matrix DD is built and
+        multiplied on; both give the same canonical edges.  The matrix
+        path stays a real setting because its gate DDs count toward a
+        node budget: the budgeted ``reorder="pressure"`` cells of
+        ``benchmarks/campaigns/variable_order.json`` sift earlier on it
+        (``blocked-n8-dynamic`` peaks at 21 nodes, 30 on the kernels).
     budget:
         Memory budget enforced by the package's resource governor
         (:mod:`repro.dd.governance`).  The default budget has no limits:

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.dd.apply import apply_operation
 from repro.dd.edge import Edge
 from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
@@ -257,16 +258,9 @@ def _project(
 ) -> Edge:
     """Apply the outcome projector and renormalize."""
     matrix = _P0 if outcome == 0 else _P1
-    if getattr(package, "use_apply_kernels", False):
-        # Diagonal kernel: the projector only rescales (zeroes) edge
-        # weights, no full-system matrix DD is built.
-        from repro.dd.apply import apply_single_qubit
-
-        projected = apply_single_qubit(package, state, matrix, qubit)
-    else:
-        num_qubits = package.num_qubits(state)
-        projector = package.single_qubit_gate(num_qubits, matrix, qubit)
-        projected = package.multiply(projector, state)
+    projected = apply_operation(
+        package, state, (matrix, qubit), package.num_qubits(state)
+    )
     if projected.is_zero:
         raise InvalidStateError("projection annihilated the state")
     scale = package.complex_table.lookup(
@@ -292,12 +286,7 @@ def reset_qubit(
         package, state, qubit, outcome, rng
     )
     if observed == 1:
-        if getattr(package, "use_apply_kernels", False):
-            from repro.dd.apply import apply_single_qubit
-
-            collapsed = apply_single_qubit(package, collapsed, _X, qubit)
-        else:
-            num_qubits = package.num_qubits(state)
-            flip = package.single_qubit_gate(num_qubits, _X, qubit)
-            collapsed = package.multiply(flip, collapsed)
+        collapsed = apply_operation(
+            package, collapsed, (_X, qubit), package.num_qubits(state)
+        )
     return observed, probability, collapsed

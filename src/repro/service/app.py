@@ -885,24 +885,25 @@ class ServiceApp:
         # A deterministic default seed makes repeated identical requests
         # cache-safe even for circuits with mid-circuit measurements.
         seed = self._int_field(payload.get("seed"), "seed", 0)
-        # Backend option: route through the legacy matrix-DD path instead
-        # of the direct apply kernels (the differential-testing oracle).
-        matrix_path = payload.get("matrix_path", False)
-        if not isinstance(matrix_path, bool):
-            raise BadRequestError("field 'matrix_path' must be a boolean")
+        if "matrix_path" in payload:
+            # Retired: the gate path is a setting of the worker's package,
+            # not of a request.  Naming it is an error, not a no-op.
+            raise BadRequestError(
+                "field 'matrix_path' is no longer accepted: the gate path "
+                "is a package setting, not a per-request option"
+            )
         digest = parse_qasm(qasm).digest()
         # The cache key must fold every request parameter that changes the
-        # response — shots, seed and backend options — not just the circuit
-        # digest, or differing requests would collide on one cached result.
-        key = ("simulate", digest, shots, seed, matrix_path)
+        # response — shots and seed — not just the circuit digest, or
+        # differing requests would collide on one cached result.
+        key = ("simulate", digest, shots, seed)
         hit, cached = self.cache.get(key)
         if hit:
             return dict(cached, cached=True)
         # The digest is the shard key: every job for this circuit lands on
         # the same worker shard, whose compute/apply tables stay warm.
         result = self.pool.submit(
-            "simulate", simulate_job, qasm, shots, seed, matrix_path,
-            shard_key=digest,
+            "simulate", simulate_job, qasm, shots, seed, shard_key=digest,
         )
         result["digest"] = digest
         self.cache.put(key, result)

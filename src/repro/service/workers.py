@@ -117,16 +117,9 @@ def _reset_package() -> None:
 
 
 def simulate_job(
-    qasm: str,
-    shots: int = 0,
-    seed: Optional[int] = 0,
-    matrix_path: bool = False,
+    qasm: str, shots: int = 0, seed: Optional[int] = 0
 ) -> Dict[str, Any]:
-    """Parse, simulate to the end, optionally sample; return a JSON dict.
-
-    ``matrix_path`` forces the legacy matrix-DD gate pipeline instead of
-    the direct apply kernels (the differential-testing oracle).
-    """
+    """Parse, simulate to the end, optionally sample; return a JSON dict."""
     from repro.dd import sampling
     from repro.qc.qasm.parser import parse_qasm
     from repro.simulation.simulator import DDSimulator
@@ -134,14 +127,8 @@ def simulate_job(
     circuit = parse_qasm(qasm)
     package = _package()
     simulator = None
-    original_kernels = package.use_apply_kernels
     try:
-        simulator = DDSimulator(
-            circuit,
-            package=package,
-            seed=seed,
-            use_apply_kernels=not matrix_path,
-        )
+        simulator = DDSimulator(circuit, package=package, seed=seed)
         simulator.run_all()
         counts = None
         if shots:
@@ -161,7 +148,6 @@ def simulate_job(
     finally:
         if simulator is not None:
             simulator.close()  # release the history's governor roots
-        package.use_apply_kernels = original_kernels
         package.clear_caches()
 
 

@@ -81,17 +81,11 @@ class DDSimulator:
         approximation_threshold: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        use_apply_kernels: Optional[bool] = None,
     ):
         self.circuit = circuit
         if package is None:
             package = DDPackage(registry=registry)
         self.package = package
-        # Per-run override of the package's gate-application path: True
-        # forces the direct kernels, False the legacy matrix path; None
-        # keeps whatever the package was configured with.
-        if use_apply_kernels is not None:
-            self.package.use_apply_kernels = use_apply_kernels
         self._rng = np.random.default_rng(seed)
         self._chooser = outcome_chooser
         #: optional per-step branch pruning (approximate simulation):

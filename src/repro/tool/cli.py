@@ -115,9 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the registry snapshot as JSON")
     stats.add_argument("--prom", action="store_true",
                        help="emit the registry in Prometheus text format")
-    stats.add_argument("--matrix-path", action="store_true",
-                       help="use the legacy gate-DD + multiply path instead "
-                            "of the direct apply kernels (for comparison)")
 
     sanitize = commands.add_parser(
         "sanitize",
@@ -357,7 +354,6 @@ def _cmd_convert(args) -> int:
 
 def _cmd_stats(args) -> int:
     from repro import obs
-    from repro.dd.package import DDPackage
     from repro.obs.tracing import Tracer
     from repro.simulation.simulator import DDSimulator
 
@@ -366,11 +362,8 @@ def _cmd_stats(args) -> int:
     # simulator's step metrics land in the same place, so every exporter
     # reads one source of truth.
     registry = obs.MetricsRegistry()
-    package = DDPackage(
-        registry=registry, use_apply_kernels=not args.matrix_path
-    )
     simulator = DDSimulator(
-        circuit, package=package, seed=args.seed, tracer=Tracer(enabled=False)
+        circuit, registry=registry, seed=args.seed, tracer=Tracer(enabled=False)
     )
     simulator.run_all()
     if args.json:
@@ -382,7 +375,7 @@ def _cmd_stats(args) -> int:
     print(f"{circuit.name}: {circuit.num_qubits} qubits, "
           f"{len(circuit)} operations, final DD {simulator.node_count()} nodes "
           f"(peak {simulator.peak_node_count})")
-    all_stats = package.stats()
+    all_stats = simulator.package.stats()
     governance = all_stats.pop("governance", None)
     sanitizer = all_stats.pop("sanitizer", None)
     all_stats.pop("storage", None)

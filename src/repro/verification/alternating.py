@@ -23,13 +23,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.dd.apply import apply_operation_matrix
 from repro.dd.edge import Edge
 from repro.dd.package import DDPackage
 from repro.errors import VerificationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS
 from repro.obs.tracing import Tracer, default_tracer
 from repro.qc.circuit import QuantumCircuit
-from repro.qc.dd_builder import gate_to_dd
 from repro.qc.operations import BarrierOp, GateOp
 from repro.verification.checker import EquivalenceResult, _compare_roots
 
@@ -105,29 +105,15 @@ class _Engine:
         self._m_peak_nodes.set_max(self.peak)
 
     def preview_left(self, gate: GateOp) -> Edge:
-        if getattr(self.package, "use_apply_kernels", False):
-            from repro.dd import apply as apply_kernels
-
-            result = apply_kernels.apply_operation_matrix(
-                self.package, self.current, gate, self.num_qubits, side="left"
-            )
-            if result is not None:
-                return result
-        gate_dd = gate_to_dd(self.package, gate, self.num_qubits)
-        return self.package.multiply(gate_dd, self.current)
+        return apply_operation_matrix(
+            self.package, self.current, gate, self.num_qubits, side="left"
+        )
 
     def preview_right(self, gate: GateOp) -> Edge:
-        inverse = gate.inverse()
-        if getattr(self.package, "use_apply_kernels", False):
-            from repro.dd import apply as apply_kernels
-
-            result = apply_kernels.apply_operation_matrix(
-                self.package, self.current, inverse, self.num_qubits, side="right"
-            )
-            if result is not None:
-                return result
-        inverse_dd = gate_to_dd(self.package, inverse, self.num_qubits)
-        return self.package.multiply(self.current, inverse_dd)
+        return apply_operation_matrix(
+            self.package, self.current, gate.inverse(), self.num_qubits,
+            side="right",
+        )
 
     def commit(self, side: str, gate_index: int, result: Edge) -> None:
         self.package.decref(self.current)

@@ -8,7 +8,11 @@
 * the kernel path's unique/compute-table footprint never exceeds the
   matrix path's for the same circuit;
 * ``clear_caches`` drops the apply table (and ``stats`` reports it), and
-  a cleared package replays a circuit to the identical root edge.
+  a cleared package replays a circuit to the identical root edge;
+* one SWAP/iSWAP records exactly one ``swap`` observation on a vector
+  and on either side of a matrix;
+* a controlled iSWAP raises ``GateError`` through the vector entry and
+  both alternating previews, on both gate paths.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dd.apply import apply_controlled
+from repro.dd.apply import KERNEL_NAMES, apply_controlled, apply_operation_matrix
 from repro.dd.package import DDPackage
 from repro.dd.pooled import PooledApplyKernel
+from repro.errors import GateError
+from repro.obs.metrics import MetricsRegistry
 from repro.qc import library
 from repro.qc.dd_builder import apply_gate
 from repro.qc.operations import GateOp
 from repro.simulation.simulator import DDSimulator
+from repro.verification.alternating import _Engine
 
 from tests.test_differential_apply import random_mixed_circuit
 
@@ -124,9 +131,9 @@ def test_kernel_tables_never_exceed_matrix_path(seed):
     num_qubits = int(rng.integers(2, 6))
     circuit = random_mixed_circuit(num_qubits, 20, rng)
 
-    kernel_sim = DDSimulator(circuit, use_apply_kernels=True)
+    kernel_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=True))
     kernel_sim.run_all()
-    matrix_sim = DDSimulator(circuit, use_apply_kernels=False)
+    matrix_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
     matrix_sim.run_all()
 
     kernel_unique, kernel_compute = _table_footprint(kernel_sim.package)
@@ -180,3 +187,43 @@ def test_cleared_package_replays_to_identical_root_edge():
     replayed = run()
     assert replayed.node is first.node
     assert replayed.weight == first.weight
+
+
+_SIDES = ("vector", "left", "right")
+
+
+def _apply_on(package: DDPackage, side: str, operation: GateOp):
+    if side == "vector":
+        return apply_gate(package, package.zero_state(3), operation, 3)
+    return apply_operation_matrix(
+        package, package.identity(3), operation, 3, side=side
+    )
+
+
+@pytest.mark.parametrize("side", _SIDES)
+@pytest.mark.parametrize("gate", ["swap", "iswap", "iswapdg"])
+def test_swap_family_records_one_observation(gate, side):
+    package = DDPackage(registry=MetricsRegistry(enabled=True))
+    _apply_on(package, side, GateOp(gate=gate, targets=(2, 0)))
+    registry = package.registry
+    assert registry.get("dd_apply_total", {"kernel": "swap"}).value == 1
+    assert registry.get("dd_apply_seconds", {"kernel": "swap"}).count == 1
+    # The stages run inside the one swap observation; no stage kernel
+    # records its own.
+    for kernel in KERNEL_NAMES:
+        if kernel != "swap":
+            assert registry.get("dd_apply_total", {"kernel": kernel}) is None
+
+
+@pytest.mark.parametrize("use_apply_kernels", [True, False],
+                         ids=["apply-kernels", "matrix-path"])
+def test_controlled_iswap_raises_gate_error_on_every_entry(use_apply_kernels):
+    package = DDPackage(use_apply_kernels=use_apply_kernels)
+    operation = GateOp(gate="iswap", targets=(2, 1), controls=(0,))
+    with pytest.raises(GateError, match="controlled two-qubit gate"):
+        apply_gate(package, package.zero_state(3), operation, 3)
+    engine = _Engine(package, 3)
+    with pytest.raises(GateError, match="controlled two-qubit gate"):
+        engine.preview_left(operation)
+    with pytest.raises(GateError, match="controlled two-qubit gate"):
+        engine.preview_right(operation)

@@ -300,7 +300,6 @@ class TestWorkerPoolChaos:
             library.ghz_state(2).to_qasm(),
             0,
             0,
-            False,
         )
         assert result["num_qubits"] == 2
 
@@ -314,7 +313,6 @@ class TestWorkerPoolChaos:
             library.bell_pair().to_qasm(),
             0,
             0,
-            False,
         )
         assert result["num_qubits"] == 2
 

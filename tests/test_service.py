@@ -365,24 +365,34 @@ class TestBatchEndpoints:
                             {"qasm": QFT, "shots": 8, "seed": 2}))
         assert other["cached"] is False
 
-    def test_cache_key_folds_backend_options(self, app):
-        # matrix_path selects a different backend (gate-DD multiply instead
-        # of the direct apply kernels); same circuit, different key.
-        kernels = _json(_post(app, "/simulate", {"qasm": QFT, "shots": 16}))
-        matrix = _json(_post(app, "/simulate",
-                             {"qasm": QFT, "shots": 16, "matrix_path": True}))
-        assert matrix["cached"] is False
-        # ... but the two paths must agree on the result.
-        assert matrix["nodes"] == kernels["nodes"]
-        assert matrix["counts"] == kernels["counts"]
-        again = _json(_post(app, "/simulate",
-                            {"qasm": QFT, "shots": 16, "matrix_path": True}))
-        assert again["cached"] is True
+    def test_retired_matrix_path_rejected_on_simulate(self, app):
+        # The gate path is a package setting; the old per-request field
+        # is a client error that names the field, not a silent no-op.
+        for value in (True, False, "yes"):
+            response = _post(app, "/simulate",
+                             {"qasm": QFT, "matrix_path": value})
+            assert response.status == 400
+            error = _json(response)["error"]
+            assert error["type"] == "BadRequestError"
+            assert "matrix_path" in error["message"]
 
-    def test_matrix_path_must_be_boolean(self, app):
-        response = _post(app, "/simulate",
-                         {"qasm": QFT, "matrix_path": "yes"})
-        assert response.status == 400
+    def test_retired_matrix_path_rejected_per_batch_job(self, app):
+        response = _post(app, "/simulate/batch", {"jobs": [
+            {"qasm": QFT, "shots": 4},
+            {"qasm": QFT, "shots": 4, "matrix_path": True},
+        ]})
+        try:
+            lines = [json.loads(line) for chunk in response.chunks
+                     for line in chunk.decode().splitlines() if line]
+        finally:
+            response.close()
+        by_index = {entry["index"]: entry for entry in lines}
+        assert by_index[0]["ok"]
+        assert not by_index[1]["ok"]
+        error = by_index[1]["error"]
+        assert error["status"] == 400
+        assert error["type"] == "BadRequestError"
+        assert "matrix_path" in error["message"]
 
     def test_verify_strategies_and_cache(self, app):
         payload = {"left": QFT, "right": QFT_COMPILED,

@@ -338,8 +338,7 @@ def test_keyed_jobs_stick_to_one_shard():
         expected = pool.shard_for(digest)
         for seed in range(4):
             result = pool.submit(
-                "simulate", simulate_job, QFT, 4, seed, False,
-                shard_key=digest,
+                "simulate", simulate_job, QFT, 4, seed, shard_key=digest,
             )
             assert result["nodes"] > 0
         counters = pool.shard_jobs
